@@ -4,11 +4,14 @@
 // payload in the simulation is real data stored here: DMA engines copy
 // bytes in and out of this array, protocol checksums are computed over it,
 // and tests verify end-to-end integrity through it.
+//
+// The array is one anonymous private mapping, so the host kernel supplies
+// zeroed pages on first touch: a 64 MB node costs only the pages its
+// traffic actually reaches, not a 64 MB zero-fill at construction.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "fault/fault.h"
 
@@ -27,9 +30,15 @@ struct PhysBuffer {
 
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::size_t bytes) : data_(bytes, 0) {}
+  /// Maps `bytes` of zeroed memory. Throws std::bad_alloc if the host
+  /// refuses the mapping.
+  explicit PhysicalMemory(std::size_t bytes);
+  ~PhysicalMemory();
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Reads `dst.size()` bytes starting at `addr`. Bounds-checked.
   void read(PhysAddr addr, std::span<std::uint8_t> dst) const;
@@ -77,7 +86,8 @@ class PhysicalMemory {
   void check(PhysAddr addr, std::size_t len) const;
   bool dma_ok(PhysAddr addr, std::size_t len);
 
-  std::vector<std::uint8_t> data_;
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
   fault::FaultPlane* faults_ = nullptr;
   std::uint64_t dma_errors_ = 0;
 };

@@ -1,6 +1,7 @@
 // Unit tests for physical memory, paging, the cache model, and wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "mem/cache.h"
@@ -19,6 +20,21 @@ TEST(PhysicalMemory, ReadWriteRoundTrip) {
   std::vector<std::uint8_t> out(100);
   pm.read(1000, out);
   EXPECT_EQ(data, out);
+
+  // Memory nobody wrote reads as zero: at offset 0, at the last byte, and
+  // in the page next to a written one, read across the boundary.
+  EXPECT_EQ(pm.byte(0), 0u);
+  EXPECT_EQ(pm.byte(static_cast<PhysAddr>(pm.size() - 1)), 0u);
+  const std::vector<std::uint8_t> ones(16, 0xff);
+  pm.write(2 * kPageSize - 16, ones);  // last 16 bytes of page 1
+  std::vector<std::uint8_t> across(32);
+  pm.read(2 * kPageSize - 16, across);
+  for (std::size_t i = 0; i < across.size(); ++i) {
+    EXPECT_EQ(across[i], i < 16 ? 0xff : 0) << "at " << i;
+  }
+  const auto next_page = pm.view(2 * kPageSize, kPageSize);
+  EXPECT_TRUE(std::all_of(next_page.begin(), next_page.end(),
+                          [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST(PhysicalMemory, BoundsChecked) {
@@ -27,6 +43,17 @@ TEST(PhysicalMemory, BoundsChecked) {
   EXPECT_THROW(pm.read(4090, buf), std::out_of_range);
   EXPECT_THROW(pm.write(4096, buf), std::out_of_range);
   EXPECT_NO_THROW(pm.read(4086, buf));
+  EXPECT_THROW(pm.byte(4096), std::out_of_range);
+  EXPECT_THROW((void)pm.view(4090, 10), std::out_of_range);
+  EXPECT_THROW((void)pm.view_mut(4096, 1), std::out_of_range);
+  EXPECT_NO_THROW((void)pm.view(0, 4096));
+
+  // The DMA entry points report the same overruns as errors, not throws.
+  EXPECT_FALSE(pm.dma_read(4090, buf));
+  EXPECT_FALSE(pm.dma_write(4096, buf));
+  EXPECT_EQ(pm.dma_errors(), 2u);
+  EXPECT_TRUE(pm.dma_write(4086, buf));
+  EXPECT_EQ(pm.dma_errors(), 2u);
 }
 
 TEST(FrameAllocator, InterleavedFramesAreDiscontiguous) {
