@@ -31,9 +31,7 @@ ArqEndpoint::ArqEndpoint(sim::Engine& eng, ProtoStack& stack,
       cpu_(&cpu),
       mc_(&mc),
       cfg_(cfg) {
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    slots_.push_back(Slot{space_->alloc(kSlotBytes), 0});
-  }
+  for (std::size_t i = 0; i < kSlots; ++i) slots_.add(space_->alloc(kSlotBytes));
   attach();
   reset_hook_token_ = stack_->driver().add_reset_hook(
       [this](sim::Tick at) { on_driver_reset(at); });
@@ -74,7 +72,7 @@ bool ArqEndpoint::dead(atm::Vci vci) const {
 
 std::vector<mem::PhysBuffer> ArqEndpoint::arena_buffers() const {
   std::vector<mem::PhysBuffer> out;
-  for (const Slot& s : slots_) {
+  for (const TxSlots::Slot& s : slots_.slots()) {
     const auto sc = space_->scatter(s.va, kSlotBytes);
     out.insert(out.end(), sc.begin(), sc.end());
   }
@@ -101,22 +99,16 @@ sim::Tick ArqEndpoint::send_frame(sim::Tick at, atm::Vci vci,
   sim::Tick t = at;
   if (framed.size() <= kSlotBytes) {
     // A slot is reusable only once the board has DMAed its previous frame
-    // out (driver tx-completion watermark); rewriting it earlier would put
-    // torn bytes on the wire. Poll the tail word, then scan for a free
-    // slot from the cursor.
+    // out (see TxSlots). Poll the tail word, then scan for a free slot
+    // from the cursor.
     t = drv.reclaim_tx(t);
-    const std::uint64_t retired = drv.tx_descs_retired();
-    for (std::size_t probe = 0; probe < kSlots; ++probe) {
-      const std::size_t idx = (next_slot_ + probe) % kSlots;
-      Slot& s = slots_[idx];
-      if (s.busy_until > retired) continue;
-      next_slot_ = (idx + 1) % kSlots;
-      stack_->write_through(*space_, s.va, framed);
+    if (const auto idx = slots_.acquire(drv.tx_descs_retired())) {
+      const mem::VirtAddr va = slots_.slots()[*idx].va;
+      stack_->write_through(*space_, va, framed);
       t = stack_->send(
           t, vci,
-          Message::view(*space_, s.va,
-                        static_cast<std::uint32_t>(framed.size())));
-      s.busy_until = drv.tx_descs_accepted();
+          Message::view(*space_, va, static_cast<std::uint32_t>(framed.size())));
+      slots_.stamp(*idx, drv.tx_descs_accepted());
       return t;
     }
     // Every slot still owned by an in-flight DMA: fall back to a fresh
@@ -171,8 +163,7 @@ void ArqEndpoint::on_timeout(atm::Vci vci) {
 //     looks free even when a *replayed* chain still references it — the
 //     next send would rewrite it mid-DMA and put a torn frame on the wire
 //     (previously only the end-to-end checksum caught this). Every busy
-//     slot is re-quarantined to the post-reset accepted watermark, which
-//     all replayed chains are at or below.
+//     slot is re-quarantined (TxSlots::requarantine).
 //
 //  2. Frames in the retransmit window were on the board or the wire when
 //     the reset discarded them. Waiting out the current (possibly
@@ -183,11 +174,7 @@ void ArqEndpoint::on_timeout(atm::Vci vci) {
 //     inside force_reset(), and transmitting synchronously would re-enter
 //     the driver mid-reset.
 void ArqEndpoint::on_driver_reset(sim::Tick /*at*/) {
-  host::OsirisDriver& drv = stack_->driver();
-  const std::uint64_t accepted = drv.tx_descs_accepted();
-  for (Slot& s : slots_) {
-    if (s.busy_until != 0) s.busy_until = accepted;
-  }
+  slots_.requarantine(stack_->driver().tx_descs_accepted());
   bool live = false;
   for (auto& [vci, s] : tx_) {
     if (s.dead || s.window.empty()) continue;

@@ -32,6 +32,7 @@
 #include "mem/paging.h"
 #include "proto/message.h"
 #include "proto/stack.h"
+#include "proto/tx_slots.h"
 #include "sim/engine.h"
 
 namespace osiris::proto {
@@ -156,18 +157,11 @@ class ArqEndpoint {
   Sink sink_;
 
   // Outgoing frames are written into a preallocated slot ring and sent
-  // zero-copy (Message::view); the board DMAs straight out of the slot.
-  // A slot therefore stays busy until the driver's tx-completion
-  // watermark passes the send — rewriting earlier would race the DMA and
-  // put torn frames on the wire.
-  struct Slot {
-    mem::VirtAddr va = 0;
-    std::uint64_t busy_until = 0;  // driver tx_descs_accepted() watermark
-  };
+  // zero-copy (Message::view); the board DMAs straight out of the slot,
+  // so a slot is reclaimed only at transmit completion (TxSlots).
   static constexpr std::size_t kSlots = 96;
   static constexpr std::uint32_t kSlotBytes = 16 * 1024;
-  std::vector<Slot> slots_;
-  std::size_t next_slot_ = 0;
+  TxSlots slots_;
 
   std::map<atm::Vci, TxState> tx_;
   std::map<atm::Vci, RxState> rx_;

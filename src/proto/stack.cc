@@ -82,6 +82,7 @@ void ProtoStack::on_driver_reset() {
   // reassemblies die with their buffers; ARQ (if running) retransmits.
   reset_drops_ += reasm_.size();
   reasm_.clear();
+  for (HeaderPool& p : hdr_pools_) p.bufs.requarantine(drv_->tx_descs_accepted());
 }
 
 void ProtoStack::use_header_arena(mem::AddressSpace& space, std::size_t slots) {
@@ -114,7 +115,22 @@ void ProtoStack::write_through(mem::AddressSpace& space, mem::VirtAddr va,
 
 void ProtoStack::add_header(Message& m, std::span<const std::uint8_t> bytes) {
   if (hdr_slots_.empty()) {
-    m.push_header(bytes);
+    mem::AddressSpace& space = m.space();
+    auto pool = std::find_if(hdr_pools_.begin(), hdr_pools_.end(),
+                             [&](const HeaderPool& p) { return p.space == &space; });
+    if (pool == hdr_pools_.end()) {
+      pool = hdr_pools_.insert(hdr_pools_.end(), HeaderPool{&space, {}});
+    }
+    std::size_t idx = 0;
+    if (const auto free = pool->bufs.acquire(drv_->tx_descs_retired())) {
+      idx = *free;
+    } else {
+      idx = pool->bufs.add(space.alloc(kIpHeader));  // fits either header
+    }
+    pool->bufs.stamp(idx, TxSlots::kHeld);
+    const mem::VirtAddr va = pool->bufs.slots()[idx].va;
+    space.write(va, bytes);
+    m.push_view(va, static_cast<std::uint32_t>(bytes.size()));
     return;
   }
   const mem::VirtAddr slot = hdr_slots_[next_hdr_ % hdr_slots_.size()];
@@ -172,6 +188,7 @@ sim::Tick ProtoStack::send(sim::Tick at, atm::Vci vci, const Message& payload) {
     bufs_per_pdu_.add(static_cast<double>(sc.size()));
     t = drv_->send(t, vci, sc);
   }
+  for (HeaderPool& p : hdr_pools_) p.bufs.release_held(drv_->tx_descs_accepted());
   return t;
 }
 

@@ -21,6 +21,7 @@
 #include "atm/checksum.h"
 #include "host/driver.h"
 #include "proto/message.h"
+#include "proto/tx_slots.h"
 #include "sim/stats.h"
 
 namespace osiris::proto {
@@ -78,6 +79,8 @@ class ProtoStack {
   void set_sink(Sink s) { sink_ = std::move(s); }
 
   /// Sends `payload` on `vci`. Returns the time the sending CPU is free.
+  /// Header buffers are taken from `payload.space()`, so that address
+  /// space must outlive this stack.
   sim::Tick send(sim::Tick at, atm::Vci vci, const Message& payload);
 
   /// The driver this stack sits on (e.g. for tx-completion watermarks).
@@ -118,7 +121,8 @@ class ProtoStack {
   sim::Tick deliver_udp(sim::Tick at, atm::Vci vci, Reassembly&& r);
   sim::Tick checksum_cost(sim::Tick at, const mem::AccessCost& c,
                           std::uint64_t bytes);
-  /// Prepends a header, via the arena when configured.
+  /// Prepends a header, via the arena when configured and otherwise via
+  /// a recycled buffer from the header pool of the message's space.
   void add_header(Message& m, std::span<const std::uint8_t> bytes);
 
   sim::Engine* eng_;
@@ -135,6 +139,14 @@ class ProtoStack {
   mem::AddressSpace* hdr_space_ = nullptr;
   std::vector<mem::VirtAddr> hdr_slots_;
   std::size_t next_hdr_ = 0;
+  // Without an arena, headers go in buffers recycled at transmit
+  // completion (TxSlots), one pool per address space, grown on demand.
+  // Buffers taken by the send in progress stay held until it returns.
+  struct HeaderPool {
+    mem::AddressSpace* space;
+    TxSlots bufs;
+  };
+  std::vector<HeaderPool> hdr_pools_;
 
   sim::Summary bufs_per_pdu_;
   std::uint64_t delivered_ = 0;

@@ -428,6 +428,58 @@ TEST(FaultE2E, ForceResetRepostsBuffersAndTrafficResumes) {
   EXPECT_FALSE(pm.str().empty());
 }
 
+TEST(FaultE2E, RecycledHeaderBuffersSurviveResetWithParkedSends) {
+  // Protocol headers live in buffers recycled at transmit completion
+  // (§2.1.2). Sends parked behind a full transmit queue keep referencing
+  // their header buffers across a watchdog reset, which replays them, and
+  // the sends that follow the reset must not be handed those buffers while
+  // a replayed chain still needs them. A rewritten UDP header fails the
+  // checksum; a rewritten IP header loses or truncates its message, since
+  // every message's length differs from its neighbours'.
+  FaultNet net(/*faults_on_b=*/false);
+  // A 0xff top tag byte: a chain remainder replayed without its IP header
+  // parses as a length far beyond the PDU and is dropped, not delivered.
+  auto tag = [](std::uint32_t i) { return 0xff000000u | i; };
+  auto bytes = [](std::uint32_t i) { return std::size_t{500} + 37 * (i % 7); };
+  std::uint32_t sent = 0;
+  std::uint32_t first_parked = 0;
+  auto send_next = [&](sim::Tick t) {
+    const std::uint32_t i = sent++;
+    return net.send_tagged(t, tag(i), bytes(i));
+  };
+  host::OsirisDriver& drv = net.tb.a.driver;
+
+  net.tb.a.eng.schedule_at(0, [&] {
+    sim::Tick t = net.tb.a.eng.now();
+    while (!drv.tx_suspended()) t = send_next(t);
+    first_parked = sent;  // every later send parks whole
+    for (int k = 0; k < 8; ++k) t = send_next(t);
+  });
+  bool parked_at_reset = false;
+  net.tb.a.eng.schedule_at(sim::us(20), [&] {
+    parked_at_reset = drv.tx_suspended();
+    sim::Tick t = drv.force_reset(net.tb.a.eng.now());
+    for (int k = 0; k < 40; ++k) t = send_next(t);
+  });
+  net.tb.run();
+
+  ASSERT_TRUE(parked_at_reset) << "the queue drained before the reset";
+  EXPECT_EQ(drv.watchdog_resets(), 1u);
+  std::set<std::uint32_t> seen;
+  for (const auto& msg : net.received) {
+    const std::uint32_t i = tag_of(msg) & 0xffffffu;
+    ASSERT_LT(i, sent);
+    EXPECT_EQ(msg, tagged(bytes(i), tag(i))) << "message " << i;
+    EXPECT_TRUE(seen.insert(i).second) << "duplicate " << i;
+  }
+  // Replayed and post-reset sends all arrive; only chains already on the
+  // board when it reset may be lost.
+  for (std::uint32_t i = first_parked; i < sent; ++i) {
+    EXPECT_TRUE(seen.contains(i)) << "lost message " << i;
+  }
+  EXPECT_EQ(net.sb->checksum_failures(), 0u);
+}
+
 TEST(FaultE2E, BoardStallTriggersWatchdogReset) {
   FaultNet net;
   // Wedge the receive firmware on its 40th cell (mid-message), as if the

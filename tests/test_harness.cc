@@ -61,6 +61,22 @@ TEST(Harness, PingPongIterationsAndStability) {
   EXPECT_GE(r.rtt_us_mean, r.rtt_us_min);
 }
 
+TEST(Harness, LongPingPongRecyclesHeaderBuffers) {
+  // UDP/IP headers go in buffers reclaimed at transmit completion
+  // (§2.1.2), so the frames a run holds track what is in flight, not what
+  // was ever sent. Two fresh frames per send used to exhaust a 64 MB
+  // node after ~8,000 round trips.
+  Testbed tb(make_5000_200_config(), make_5000_200_config());
+  const atm::Vci vci = tb.open_kernel_path();
+  auto sa = tb.a.make_stack({});
+  auto sb = tb.b.make_stack({});
+  const std::size_t before = tb.a.frames.free_frames();
+  const auto r = harness::ping_pong(tb, *sa, *sb, vci, 1, 10000);
+  EXPECT_EQ(r.iterations, 10000u);
+  // The payload's frame plus a handful of header buffers.
+  EXPECT_LE(before - tb.a.frames.free_frames(), 16u);
+}
+
 TEST(Harness, LatencyMonotonicInMessageSize) {
   auto rtt = [](std::uint32_t bytes) {
     Testbed tb(make_3000_600_config(), make_3000_600_config());
