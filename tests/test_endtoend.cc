@@ -20,6 +20,12 @@ struct SkewCase {
   double skew_us;
 };
 
+// Names each case "seq_skew20us" instead of after its raw bytes, which hold
+// the address of the strategy string and so change from run to run.
+void PrintTo(const SkewCase& c, std::ostream* os) {
+  *os << c.strategy << "_skew" << c.skew_us << "us";
+}
+
 class SkewE2E : public ::testing::TestWithParam<SkewCase> {};
 
 TEST_P(SkewE2E, IntegrityUnderSkew) {

@@ -15,16 +15,24 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   return v;
 }
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included, so the padding is spelled out and zeroed to keep the names the
+// same from build to build.
 struct MtuCase {
   std::uint32_t mtu;
   std::uint32_t msg;
   bool cksum;
+  std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(MtuCase) == 12);
 
 class MtuSweep : public ::testing::TestWithParam<MtuCase> {};
 
 TEST_P(MtuSweep, IntegrityAcrossFragmentationRegimes) {
-  const auto [mtu, msg, cksum] = GetParam();
+  const MtuCase& c = GetParam();
+  const std::uint32_t mtu = c.mtu;
+  const std::uint32_t msg = c.msg;
+  const bool cksum = c.cksum;
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
