@@ -282,10 +282,12 @@ void EngineGroup::worker(int wid, int threads) {
       idle = 0;
       continue;
     }
-    if (++idle < kIdleRetries) {
+    if (threads > 1 && ++idle < kIdleRetries) {
       // Bounded backoff before the barrier: a peer may be about to publish
       // an EOT that unblocks us, and re-pumping is far cheaper than a
-      // full fused round.
+      // full fused round. A lone worker has no peer to wait for: its
+      // one-party barrier is a plain call whose skip-ahead unblocks it at
+      // once, so it goes straight there.
       Clock::time_point t0;
       if (prof != nullptr) t0 = Clock::now();
       for (int i = 0; i < (1 << idle); ++i) detail::cpu_relax();

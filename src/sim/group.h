@@ -284,7 +284,8 @@ class EngineGroup {
   /// No-progress pumps a worker retries (with growing cpu_relax backoff)
   /// before falling back to the fused barrier: enough to ride out a peer
   /// that is about to publish a fresh EOT, few enough that true dead time
-  /// reaches the skip-ahead round quickly.
+  /// reaches the skip-ahead round quickly. Only taken with threads > 1:
+  /// a lone worker has no peer to wait for.
   static constexpr int kIdleRetries = 8;
 
   Channel* channel(std::size_t src, std::size_t dst);

@@ -524,6 +524,36 @@ TEST(ParallelEquivalence, ShardedSpansAndMetricsUnderTwoThreads) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST(ParallelEquivalence, LoneWorkerNeverEntersRetryBackoff) {
+  // One worker has no peer to wait for: every pass that makes no progress
+  // must go straight to the fused round, never through the cpu_relax
+  // retry backoff, and the dispatch order must not notice.
+  auto run_once = [](int threads, std::uint64_t* stalls) {
+    sim::Trace ta(1 << 14), tbb(1 << 14);
+    NodeConfig ca = make_5000_200_config();
+    NodeConfig cb = make_5000_200_config();
+    ca.trace = &ta;
+    cb.trace = &tbb;
+    Testbed tb(ca, cb, threads);
+    tb.group.enable_profiling();
+    proto::StackConfig sc;
+    auto sa = tb.a.make_stack(sc);
+    auto sb = tb.b.make_stack(sc);
+    const atm::Vci vci = tb.open_kernel_path();
+    const harness::LatencyResult lat =
+        harness::ping_pong(tb, *sa, *sb, vci, 1, 16);
+    EXPECT_EQ(lat.iterations, 16u) << "threads=" << threads;
+    const sim::EngineGroup::PhaseProfile prof = tb.group.profile();
+    EXPECT_GT(prof.barrier_ns.count(), 0u) << "threads=" << threads;
+    *stalls = prof.stall_ns.count();
+    return fnv(trace_hash(ta), trace_hash(tbb));
+  };
+  std::uint64_t serial_stalls = 0, parallel_stalls = 0;
+  const std::uint64_t serial = run_once(1, &serial_stalls);
+  EXPECT_EQ(serial_stalls, 0u);
+  EXPECT_EQ(serial, run_once(2, &parallel_stalls));
+}
+
 TEST(ParallelEquivalence, SharedTraceRejectedForMultiThreadRuns) {
   sim::Trace shared;
   NodeConfig ca = make_5000_200_config();
