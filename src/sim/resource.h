@@ -10,12 +10,17 @@
 // a long compute phase) while the board's next DMA — issued later in call
 // order but earlier in simulated time — must still slot into the gap
 // before it, as it would on real hardware.
+//
+// The calendar is a flat start-sorted vector with a consumed-prefix index:
+// intervals never overlap, so their ends are sorted too, and dropping the
+// ones that ended before now is exactly advancing the index. Bookings land
+// at the tail almost always, so a reservation costs no allocation.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "sim/engine.h"
 #include "sim/time.h"
@@ -37,16 +42,16 @@ class Resource {
     Tick start = from;
     if (hold > 0) {
       // Walk intervals overlapping or following `start` until a gap fits.
-      auto it = busy_.upper_bound(start);
-      if (it != busy_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second > start) start = prev->second;
-      }
-      while (it != busy_.end() && it->first < start + hold) {
-        start = std::max(start, it->second);
+      const auto live = busy_.begin() + static_cast<std::ptrdiff_t>(head_);
+      auto it = std::upper_bound(
+          live, busy_.end(), start,
+          [](Tick t, const Interval& iv) { return t < iv.start; });
+      if (it != live && std::prev(it)->end > start) start = std::prev(it)->end;
+      while (it != busy_.end() && it->start < start + hold) {
+        start = std::max(start, it->end);
         ++it;
       }
-      busy_.emplace(start, start + hold);
+      busy_.insert(it, Interval{start, start + hold});
     }
     busy_until_ = std::max(busy_until_, start + hold);
     busy_total_ += hold;
@@ -87,18 +92,31 @@ class Resource {
   }
 
  private:
+  struct Interval {
+    Tick start;
+    Tick end;
+  };
+
   /// Drops intervals that ended before the current simulated time: new
   /// requests always carry from >= the issuing event's time, so nothing
-  /// can ever be booked there again.
+  /// can ever be booked there again. Ends are sorted, so they form a
+  /// prefix; the storage is reclaimed once it is at least half the vector.
   void prune() {
     const Tick now = eng_->now();
-    auto it = busy_.begin();
-    while (it != busy_.end() && it->second < now) it = busy_.erase(it);
+    while (head_ < busy_.size() && busy_[head_].end < now) ++head_;
+    if (head_ >= kCompactAt && 2 * head_ >= busy_.size()) {
+      busy_.erase(busy_.begin(),
+                  busy_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
+
+  static constexpr std::size_t kCompactAt = 64;
 
   Engine* eng_;
   std::string name_;
-  std::map<Tick, Tick> busy_;  // start -> end
+  std::vector<Interval> busy_;  // start-sorted, non-overlapping
+  std::size_t head_ = 0;        // busy_[0, head_) ended before now
   Tick busy_until_ = 0;
   Duration busy_total_ = 0;
   Duration wait_total_ = 0;
