@@ -11,7 +11,8 @@ namespace osiris::mem {
 FrameAllocator::FrameAllocator(std::size_t mem_bytes, bool interleave,
                                std::uint64_t seed)
     : total_frames_(mem_bytes / kPageSize),
-      allocated_(total_frames_, false) {
+      allocated_(total_frames_, false),
+      stale_(total_frames_, 0) {
   std::vector<std::uint32_t> order(total_frames_);
   for (std::size_t i = 0; i < total_frames_; ++i) order[i] = static_cast<std::uint32_t>(i);
   if (interleave) {
@@ -26,11 +27,17 @@ FrameAllocator::FrameAllocator(std::size_t mem_bytes, bool interleave,
 }
 
 PhysAddr FrameAllocator::alloc() {
-  if (free_.empty()) throw std::runtime_error("FrameAllocator: out of frames");
-  const std::uint32_t frame = free_.front();
-  free_.pop_front();
-  allocated_[frame] = true;
-  return frame * kPageSize;
+  while (true) {
+    if (free_.empty()) throw std::runtime_error("FrameAllocator: out of frames");
+    const std::uint32_t frame = free_.front();
+    free_.pop_front();
+    if (stale_[frame] == 0) {
+      allocated_[frame] = true;
+      return frame * kPageSize;
+    }
+    --stale_[frame];
+    --stale_total_;
+  }
 }
 
 std::optional<PhysAddr> FrameAllocator::alloc_contiguous(std::uint32_t n) {
@@ -42,15 +49,35 @@ std::optional<PhysAddr> FrameAllocator::alloc_contiguous(std::uint32_t n) {
   for (std::uint32_t f = 0; f < total_frames_; ++f) {
     run = allocated_[f] ? 0 : run + 1;
     if (run == n) {
+      // Leave the taken frames queued as stale copies instead of erasing
+      // them: a frame's earliest queued copy is always its stale one, so
+      // skipping it in alloc() yields exactly the erase order.
       const std::uint32_t first = f + 1 - n;
       for (std::uint32_t g = first; g <= f; ++g) {
+        if (stale_[g] == UINT8_MAX) purge_stale();
         allocated_[g] = true;
-        free_.erase(std::find(free_.begin(), free_.end(), g));
+        ++stale_[g];
+        ++stale_total_;
       }
+      // Bound the queue: stale copies never outnumber live ones.
+      if (2 * stale_total_ > free_.size()) purge_stale();
       return first * kPageSize;
     }
   }
   return std::nullopt;
+}
+
+void FrameAllocator::purge_stale() {
+  std::size_t kept = 0;
+  for (const std::uint32_t frame : free_) {
+    if (stale_[frame] > 0) {
+      --stale_[frame];
+    } else {
+      free_[kept++] = frame;
+    }
+  }
+  free_.resize(kept);
+  stale_total_ = 0;
 }
 
 void FrameAllocator::free(PhysAddr frame_base) {

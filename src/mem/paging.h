@@ -47,13 +47,22 @@ class FrameAllocator {
 
   void free(PhysAddr frame_base);
 
-  [[nodiscard]] std::size_t free_frames() const { return free_.size(); }
+  [[nodiscard]] std::size_t free_frames() const {
+    return free_.size() - stale_total_;
+  }
   [[nodiscard]] std::size_t total_frames() const { return total_frames_; }
 
  private:
+  /// Drops every stale copy from the free list in one pass.
+  void purge_stale();
+
   std::size_t total_frames_;
   std::deque<std::uint32_t> free_;            // frame numbers
   std::vector<bool> allocated_;               // by frame number
+  // Frames alloc_contiguous() took stay queued as stale copies that alloc()
+  // skips: per frame, how many of its earliest queued copies are stale.
+  std::vector<std::uint8_t> stale_;
+  std::size_t stale_total_ = 0;
 };
 
 /// A protection domain's virtual address space: a page table mapping

@@ -2,12 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <vector>
 
 #include "mem/cache.h"
 #include "mem/paging.h"
 #include "mem/phys.h"
 #include "mem/wiring.h"
+#include "sim/rng.h"
 
 namespace osiris::mem {
 namespace {
@@ -102,6 +107,161 @@ TEST(FrameAllocator, FreeAndReuse) {
   fa.free(all[5]);
   EXPECT_EQ(fa.alloc(), all[5]);
   EXPECT_THROW(fa.free(123456u * 0 + all[0] + kPageSize * 100), std::logic_error);
+}
+
+// The FrameAllocator from before stale copies, which erased each frame
+// alloc_contiguous() took from the free list: the reference the tests
+// below hold the lazy allocator to.
+class EraseFrames {
+ public:
+  EraseFrames(std::size_t mem_bytes, bool interleave, std::uint64_t seed)
+      : allocated_(mem_bytes / kPageSize, false) {
+    std::vector<std::uint32_t> order(allocated_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    if (interleave) {
+      sim::Rng rng(seed);
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.below(i)]);
+      }
+    }
+    free_.assign(order.begin(), order.end());
+  }
+
+  PhysAddr alloc() {
+    if (free_.empty()) throw std::runtime_error("out of frames");
+    const std::uint32_t frame = free_.front();
+    free_.pop_front();
+    allocated_[frame] = true;
+    return frame * kPageSize;
+  }
+
+  std::optional<PhysAddr> alloc_contiguous(std::uint32_t n) {
+    if (n == 1) return alloc();
+    std::uint32_t run = 0;
+    for (std::uint32_t f = 0; f < allocated_.size(); ++f) {
+      run = allocated_[f] ? 0 : run + 1;
+      if (run == n) {
+        const std::uint32_t first = f + 1 - n;
+        for (std::uint32_t g = first; g <= f; ++g) {
+          allocated_[g] = true;
+          free_.erase(std::find(free_.begin(), free_.end(), g));
+        }
+        return first * kPageSize;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void free(PhysAddr frame_base) {
+    allocated_[frame_base / kPageSize] = false;
+    free_.push_back(frame_base / kPageSize);
+  }
+
+  [[nodiscard]] std::size_t free_frames() const { return free_.size(); }
+
+ private:
+  std::deque<std::uint32_t> free_;
+  std::vector<bool> allocated_;
+};
+
+TEST(FrameAllocator, LazyContiguousRemovalMatchesErase) {
+  // Seeded interleave of alloc, alloc_contiguous and free on a small pool,
+  // so contiguous frames are freed and re-taken while their stale copies
+  // are still queued, and the pool runs dry often.
+  constexpr std::size_t kFrames = 64;
+  FrameAllocator fa(kFrames * kPageSize, /*interleave=*/true, /*seed=*/5);
+  EraseFrames ref(kFrames * kPageSize, true, 5);
+  std::vector<PhysAddr> held;
+  std::vector<bool> is_held(kFrames, false);
+  sim::Rng rng(29);
+  int contiguous = 0, dry = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double dice = rng.uniform();
+    if (dice < 0.4) {
+      if (ref.free_frames() == 0) {
+        EXPECT_THROW(fa.alloc(), std::runtime_error) << "step " << step;
+        ++dry;
+      } else {
+        const PhysAddr f = fa.alloc();
+        ASSERT_EQ(f, ref.alloc()) << "step " << step;
+        held.push_back(f);
+        is_held[f / kPageSize] = true;
+      }
+    } else if (dice < 0.6) {
+      const auto n = static_cast<std::uint32_t>(2 + rng.below(4));
+      const std::optional<PhysAddr> base = fa.alloc_contiguous(n);
+      ASSERT_EQ(base, ref.alloc_contiguous(n)) << "step " << step;
+      if (base) {
+        ++contiguous;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          held.push_back(*base + i * kPageSize);
+          is_held[*base / kPageSize + i] = true;
+        }
+      }
+    } else if (dice < 0.95) {
+      if (held.empty()) continue;
+      const std::size_t i = rng.below(held.size());
+      const PhysAddr f = held[i];
+      held[i] = held.back();
+      held.pop_back();
+      is_held[f / kPageSize] = false;
+      fa.free(f);
+      ref.free(f);
+    } else {
+      // A bad free: a frame nobody holds, or one past the end of memory.
+      const auto frame = static_cast<std::uint32_t>(rng.below(kFrames + 1));
+      if (frame == kFrames || !is_held[frame]) {
+        EXPECT_THROW(fa.free(frame * kPageSize), std::logic_error)
+            << "step " << step;
+      }
+    }
+    ASSERT_EQ(fa.free_frames(), ref.free_frames()) << "step " << step;
+  }
+  EXPECT_GT(contiguous, 100);
+  EXPECT_GT(dry, 10);
+}
+
+TEST(FrameAllocator, RepeatedContiguousRetakesMatchErase) {
+  // One run freed and re-taken 300 times piles up stale copies of the same
+  // frames: more than a per-frame byte counts, and (with a big enough
+  // pool) never more than the live entries.
+  constexpr std::size_t kFrames = 4096;
+  FrameAllocator fa(kFrames * kPageSize, /*interleave=*/true, /*seed=*/9);
+  EraseFrames ref(kFrames * kPageSize, true, 9);
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    const std::optional<PhysAddr> base = fa.alloc_contiguous(2);
+    ASSERT_EQ(base, ref.alloc_contiguous(2)) << "cycle " << cycle;
+    ASSERT_TRUE(base.has_value());
+    ASSERT_EQ(fa.alloc(), ref.alloc()) << "cycle " << cycle;
+    fa.free(*base);
+    ref.free(*base);
+    fa.free(*base + kPageSize);
+    ref.free(*base + kPageSize);
+    ASSERT_EQ(fa.free_frames(), ref.free_frames()) << "cycle " << cycle;
+  }
+  for (std::size_t i = ref.free_frames(); i > 0; --i) {
+    ASSERT_EQ(fa.alloc(), ref.alloc());
+  }
+  EXPECT_THROW(fa.alloc(), std::runtime_error);
+}
+
+TEST(FrameAllocator, OnlyStaleCopiesLeftIsOutOfFrames) {
+  FrameAllocator fa(8 * kPageSize, /*interleave=*/false);
+  std::vector<PhysAddr> first;
+  for (int i = 0; i < 4; ++i) first.push_back(fa.alloc());
+  for (const PhysAddr f : first) fa.free(f);  // queue: 4 5 6 7 0 1 2 3
+  ASSERT_EQ(fa.alloc_contiguous(4), std::optional<PhysAddr>{0});
+  EXPECT_EQ(fa.free_frames(), 4u);
+  for (PhysAddr f = 4 * kPageSize; f < 8 * kPageSize; f += kPageSize) {
+    EXPECT_EQ(fa.alloc(), f);
+  }
+  // Frames 0-3 are still queued, but only as stale copies.
+  EXPECT_EQ(fa.free_frames(), 0u);
+  EXPECT_THROW(fa.alloc(), std::runtime_error);
+  EXPECT_THROW(fa.free(8 * kPageSize), std::logic_error);  // past the end
+  fa.free(2 * kPageSize);
+  EXPECT_THROW(fa.free(2 * kPageSize), std::logic_error);  // double free
+  EXPECT_EQ(fa.alloc(), 2 * kPageSize);
 }
 
 TEST(AddressSpace, TranslateAndScatter) {
