@@ -76,7 +76,7 @@ int main() {
   json.field("violation_free_fraction", violation_free);
   json.field("faults_fired", faults);
   json.field("adaptor_resets", resets);
-  benchjson::perf_fields(json, secs, events, 1);
+  benchjson::perf_fields(json, secs, events);
   json.close_object();
 
   std::printf("\n  %llu scenarios in %.2fs (%.1f/s), %llu faults, %llu"

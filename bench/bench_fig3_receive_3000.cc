@@ -67,7 +67,7 @@ int main() {
   w.close_array();
 
   const double secs = wall.seconds();
-  benchjson::perf_fields(w, secs, events, /*threads=*/1);
+  benchjson::perf_fields(w, secs, events);
   w.close_object();
   w.dump("fig3_receive_3000");
 

@@ -22,9 +22,9 @@ struct RunOut {
   std::uint64_t events = 0;  // engine events dispatched by this run
 };
 
-RunOut rtt(bool alpha, bool udp, std::uint32_t bytes, int threads) {
+RunOut rtt(bool alpha, bool udp, std::uint32_t bytes) {
   Testbed tb(alpha ? make_3000_600_config() : make_5000_200_config(),
-             alpha ? make_3000_600_config() : make_5000_200_config(), threads);
+             alpha ? make_3000_600_config() : make_5000_200_config());
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
   sc.mode = udp ? proto::StackMode::kUdpIp : proto::StackMode::kRawAtm;
@@ -39,13 +39,13 @@ double us_of(double ticks) { return ticks / 1e6; }  // Tick = picoseconds
 /// One span-instrumented ping-pong (raw ATM, 1024 B, 5000/200) feeding the
 /// per-stage latency histograms; both directions merged so the
 /// distribution covers every PDU of the run.
-std::uint64_t span_run(benchjson::Writer& w, int threads) {
-  obs::PduSpans spans_a, spans_b;  // one per node: spans are thread-confined
+std::uint64_t span_run(benchjson::Writer& w) {
+  obs::PduSpans spans_a, spans_b;
   NodeConfig ca = make_5000_200_config();
   NodeConfig cb = make_5000_200_config();
   ca.spans = &spans_a;
   cb.spans = &spans_b;
-  Testbed tb(ca, cb, threads);
+  Testbed tb(ca, cb);
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
@@ -83,10 +83,7 @@ std::uint64_t span_run(benchjson::Writer& w, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Results are bit-identical across thread counts (DESIGN.md §9);
-  // --threads only changes who runs each node's calendar queue.
-  const int threads = harness::parse_threads(argc, argv, 1);
+int main() {
   const benchjson::WallTimer wall;
   std::uint64_t events = 0;
 
@@ -120,7 +117,7 @@ int main(int argc, char** argv) {
     w.field("machine", std::string(r.machine));
     w.field("proto", std::string(r.udp ? "udp_ip" : "raw_atm"));
     for (int i = 0; i < 4; ++i) {
-      const RunOut out = rtt(r.alpha, r.udp, sizes[i], threads);
+      const RunOut out = rtt(r.alpha, r.udp, sizes[i]);
       events += out.events;
       std::printf("  %5.0f [%4d]", out.rtt_us, r.paper[i]);
       w.field(size_keys[i], out.rtt_us);
@@ -130,11 +127,10 @@ int main(int argc, char** argv) {
   }
   w.close_array();
 
-  events += span_run(w, threads);
+  events += span_run(w);
 
   const double secs = wall.seconds();
-  benchjson::perf_fields(w, secs, events,
-                         static_cast<std::uint64_t>(threads));
+  benchjson::perf_fields(w, secs, events);
   w.close_object();
   w.dump("table1_latency");
 

@@ -157,7 +157,6 @@ class RxProcessor {
   void start_generator_multi(atm::Vci vci,
                              const std::vector<std::vector<std::uint8_t>>& pdus,
                              std::uint64_t count, sim::Duration cell_period);
-  [[nodiscard]] bool generator_done() const { return !gen_active_; }
 
   // Statistics.
   [[nodiscard]] std::uint64_t cells_received() const { return cells_received_; }

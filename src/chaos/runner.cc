@@ -87,15 +87,15 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
   std::uint64_t dgram_ok = 0, adc_ok = 0, foreign = 0;
   std::uint64_t rpc_done = 0, rpc_timeo = 0;
 
-  // Four independent planes (one hardware + one tenant per node) keep each
-  // partition's RNG stream thread-confined, preserving the parallel DES's
-  // bit-identical dispatch guarantee under --threads 2.
+  // Four independent planes (one hardware + one tenant per node): each
+  // plane's RNG stream is drawn only by its own node's events, so it does
+  // not depend on how the two partitions' dispatches interleave.
   sim::Trace trace_a(4096), trace_b(4096);
   fault::FaultPlane hw_a(sch.seed * 4 + 1), hw_b(sch.seed * 4 + 2);
   fault::FaultPlane tenant_a(sch.seed * 4 + 3), tenant_b(sch.seed * 4 + 4);
 
   Testbed tb(chaos_node(&trace_a, &hw_a, sch.seed * 2 + 1),
-             chaos_node(&trace_b, &hw_b, sch.seed * 2 + 2), cfg.threads);
+             chaos_node(&trace_b, &hw_b, sch.seed * 2 + 2));
 
   const atm::Vci vci_arq = tb.open_kernel_path();
   const atm::Vci vci_dgram = tb.open_kernel_path();
@@ -196,8 +196,8 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
   tb.a.start_watchdog(cfg.wd_period, cfg.wd_deadline, wd_until);
   tb.b.start_watchdog(cfg.wd_period, cfg.wd_deadline, wd_until);
 
-  // Apply the schedule: arm/disarm on the owning node's engine so plane
-  // access stays partition-confined.
+  // Apply the schedule: arm/disarm on the owning node's engine, so each
+  // plane is touched only by its own node's events.
   for (const Action& a : sch.actions) {
     Node& n = (a.node == 0) ? tb.a : tb.b;
     fault::FaultPlane& plane =

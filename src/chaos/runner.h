@@ -7,8 +7,8 @@
 // and descriptors on the kernel drivers, exactly-once in-order ARQ
 // delivery, and convergence of every watchdog reset. Any violated
 // invariant becomes one human-readable string in Report::violations, and
-// the whole run folds into a fingerprint that must be bit-identical for
-// any worker-thread count and across record/replay.
+// the whole run folds into a fingerprint that must be bit-identical on
+// every run of the same schedule and across record/replay.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 namespace osiris::chaos {
 
 struct RunnerConfig {
-  int threads = 1;                  // testbed worker threads (1 or 2)
   sim::Tick horizon = sim::ms(25);  // traffic injection window
 
   // Reliable tagged stream, node a -> node b on a bound ARQ VCI.
@@ -65,8 +64,8 @@ struct Report {
   /// One string per violated invariant; empty = the run survived.
   std::vector<std::string> violations;
   /// FNV-1a over delivery tags, counters, resets and fault activity.
-  /// Identical for serial and --threads 2 runs of the same schedule, and
-  /// across record/replay of a serialized schedule.
+  /// Identical on every run of the same schedule, and across
+  /// record/replay of a serialized schedule.
   std::uint64_t fingerprint = 0;
 
   std::uint64_t arq_sent = 0, arq_delivered = 0;

@@ -234,10 +234,6 @@ class OsirisDriver {
   void set_postmortem_stream(std::ostream* os) { postmortem_os_ = os; }
 
   void start_watchdog(const WatchdogConfig& cfg);
-  void stop_watchdog() {
-    wd_running_ = false;
-    eng_->cancel(wd_timer_);
-  }
 
   /// Immediate adaptor reset (what the watchdog fires; callable directly
   /// by tests). Returns the time the host CPU finished recovery.

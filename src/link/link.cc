@@ -91,8 +91,8 @@ sim::Tick StripedLink::submit(sim::Tick from, const atm::Cell& c) {
   if (group_ != nullptr) {
     // Export across the partition boundary. The envelope carries the cell
     // by value (RemoteEvent's inline budget is sized for exactly this), so
-    // the sink runs on the destination partition with no shared state but
-    // the immutable sink itself.
+    // the sink runs on the destination partition and touches no sender
+    // state but the immutable sink itself.
     Sink* sinkp = &sink_;
     auto deliver_fn = [sinkp, lane, delivered] { (*sinkp)(lane, delivered); };
     // The cell's observability sidecar (t_origin/t_depart, 16 bytes) is

@@ -50,7 +50,6 @@ class FrameAllocator {
   [[nodiscard]] std::size_t free_frames() const {
     return free_.size() - stale_total_;
   }
-  [[nodiscard]] std::size_t total_frames() const { return total_frames_; }
 
  private:
   /// Drops every stale copy from the free list in one pass.

@@ -8,10 +8,9 @@
 // histograms owned elsewhere, e.g. PduSpans stages).
 //
 // Sharding: under sim::EngineGroup every node's state — including its
-// metrics — is thread-confined to the partition that owns it.  Give each
-// node its own Registry and aggregate on read with obs::aggregate(), which
-// sums counters/gauges and merges histogram buckets by name.  No locks, no
-// atomics, no cross-thread writes.
+// metrics — belongs to the partition that owns it.  Give each node its own
+// Registry and aggregate on read with obs::aggregate(), which sums
+// counters/gauges and merges histogram buckets by name.
 #pragma once
 
 #include <cstdint>

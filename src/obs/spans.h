@@ -16,8 +16,8 @@
 //   deliver           Rx descriptor pushed     -> driver delivers the PDU
 //   e2e               driver send()            -> peer driver delivers
 //
-// A PduSpans instance is thread-confined, like sim::Trace: attach one per
-// node (NodeConfig::spans) and aggregate on read.  All lookups are guarded —
+// Like sim::Trace, a PduSpans instance may be shared by both nodes or
+// attached one per node (NodeConfig::spans) and aggregated on read.  All lookups are guarded —
 // unmatched or partially-stamped PDUs (generator traffic, aborted or evicted
 // PDUs, adaptor resets) simply contribute nothing to the affected stages.
 #pragma once
@@ -92,10 +92,6 @@ class PduSpans {
     return stages_[static_cast<std::size_t>(s)];
   }
   [[nodiscard]] const sim::Log2Histogram* vci_e2e(atm::Vci vci) const;
-  [[nodiscard]] const std::unordered_map<atm::Vci, sim::Log2Histogram>&
-  vci_families() const {
-    return vci_e2e_;
-  }
 
   /// Completed end-to-end spans (bounded ring, oldest dropped) for Chrome
   /// trace-event export.

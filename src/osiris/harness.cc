@@ -250,24 +250,4 @@ bool write_trace_json(const std::string& path, const sim::Trace* trace_a,
   return obs::write_chrome_trace_file(path, srcs);
 }
 
-int parse_threads(int argc, char** argv, int fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string val;
-    if (arg == "--threads" && i + 1 < argc) {
-      val = argv[i + 1];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      val = arg.substr(10);
-    } else {
-      continue;
-    }
-    try {
-      return std::stoi(val);
-    } catch (const std::exception&) {
-      return fallback;
-    }
-  }
-  return fallback;
-}
-
 }  // namespace osiris::harness

@@ -62,10 +62,6 @@ ThroughputResult transmit_throughput(Testbed& tb, Node& sender,
                                      atm::Vci vci, std::uint32_t msg_bytes,
                                      std::uint64_t n_msgs);
 
-/// Parses a `--threads N` / `--threads=N` flag from a bench or example
-/// command line; returns `fallback` when absent or malformed.
-int parse_threads(int argc, char** argv, int fallback = 1);
-
 /// Parses a string-valued `--<flag> V` / `--<flag>=V` option; returns ""
 /// when absent. `flag` includes the dashes ("--stats-json").
 std::string parse_string_flag(int argc, char** argv, const std::string& flag);

@@ -1,7 +1,7 @@
 #include "osiris/node.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace osiris {
 
@@ -91,7 +91,7 @@ std::unique_ptr<proto::ProtoStack> Node::make_stack(proto::StackConfig scfg) {
   return s;
 }
 
-Testbed::Testbed(NodeConfig ca, NodeConfig cb, int threads)
+Testbed::Testbed(NodeConfig ca, NodeConfig cb)
     : a(group.partition(0), std::move(ca)),
       b(group.partition(1), std::move(cb)) {
   // Each direction of the wire is a conservative channel: nothing submitted
@@ -105,27 +105,6 @@ Testbed::Testbed(NodeConfig ca, NodeConfig cb, int threads)
   // own node's state.
   a.out.set_sink([this](int lane, const atm::Cell& cell) { b.rxp.on_cell(lane, cell); });
   b.out.set_sink([this](int lane, const atm::Cell& cell) { a.rxp.on_cell(lane, cell); });
-  set_threads(threads);
-}
-
-void Testbed::set_threads(int threads) {
-  if (threads > 1) {
-    if (a.cfg.trace != nullptr && a.cfg.trace == b.cfg.trace) {
-      throw std::logic_error(
-          "Testbed: nodes share a Trace; multi-thread runs need one per node");
-    }
-    if (a.cfg.faults != nullptr && a.cfg.faults == b.cfg.faults) {
-      throw std::logic_error(
-          "Testbed: nodes share a FaultPlane; multi-thread runs need one per "
-          "node");
-    }
-    if (a.cfg.spans != nullptr && a.cfg.spans == b.cfg.spans) {
-      throw std::logic_error(
-          "Testbed: nodes share a PduSpans; multi-thread runs need one per "
-          "node");
-    }
-  }
-  threads_ = std::clamp(threads, 1, static_cast<int>(group.partitions()));
 }
 
 atm::Vci Testbed::open_kernel_path() {

@@ -41,8 +41,7 @@ struct NodeConfig {
   fault::FaultPlane* faults = nullptr;
   /// Optional PDU lifecycle spans (not owned): wired into the driver, both
   /// board processors, and (through the cell stamps) the link. Like the
-  /// trace, a spans object is thread-confined — one per node under
-  /// multi-threaded runs.
+  /// trace, a spans object may be shared by both nodes.
   obs::PduSpans* spans = nullptr;
 };
 
@@ -106,28 +105,21 @@ class Node {
 
 /// Two nodes with their boards linked back-to-back.
 ///
-/// Each node is one partition of an EngineGroup (DESIGN.md §9 and §14):
-/// node `a` runs on partition 0, node `b` on partition 1, and the two
-/// StripedLinks deliver through cross-partition channels whose lookahead
-/// is the link's minimum cell latency. run() executes the asynchronous
-/// EOT protocol on `threads` OS threads; dispatch order — and therefore
-/// every stat and trace — is identical for any thread count.
+/// Each node is one partition of an EngineGroup (DESIGN.md §9): node `a`
+/// runs on partition 0, node `b` on partition 1, and the two StripedLinks
+/// deliver through cross-partition channels whose lookahead is the link's
+/// minimum cell latency. run() merges the two calendars serially, so each
+/// node's dispatch order depends only on the simulation.
 class Testbed {
  public:
-  Testbed(NodeConfig ca, NodeConfig cb, int threads = 1);
+  Testbed(NodeConfig ca, NodeConfig cb);
 
   /// Allocates a fresh VCI and maps it into both nodes' kernel channels
   /// (the x-kernel binds each path to an unused VCI, §3.1).
   atm::Vci open_kernel_path();
 
-  /// Sets the worker-thread count for subsequent run() calls (clamped to
-  /// [1, 2]). Rejected when the two nodes share a Trace, FaultPlane or
-  /// PduSpans: those sinks are not synchronized across partitions.
-  void set_threads(int threads);
-  [[nodiscard]] int threads() const { return threads_; }
-
   /// Runs both partitions to completion; returns the final time.
-  sim::Tick run() { return group.run(threads_); }
+  sim::Tick run() { return group.run(); }
 
   /// Simulated time (the partitions agree whenever the testbed is idle).
   [[nodiscard]] sim::Tick now() const { return group.now(); }
@@ -142,7 +134,6 @@ class Testbed {
   Node b;
 
  private:
-  int threads_ = 1;
   atm::Vci next_vci_ = 100;
 };
 

@@ -175,7 +175,7 @@ using Event = BasicEvent<48>;
 
 /// Cross-partition envelope event (see EngineGroup in group.h): sized so a
 /// link delivery — sink pointer, lane, and a 53-byte ATM cell by value —
-/// travels inline through the export ring without touching the heap.
+/// waits for its tick inline, without touching the heap.
 using RemoteEvent = BasicEvent<88>;
 
 namespace detail {
@@ -261,8 +261,8 @@ class Engine {
 
   /// Advances now() to `t` without dispatching anything (no-op when `t` is
   /// in the past). The partitioned group uses it to equalize the partition
-  /// clocks once a parallel run drains, so follow-up scheduling against
-  /// any partition sees one consistent time.
+  /// clocks once a run drains, so follow-up scheduling against any
+  /// partition sees one consistent time.
   void advance_to(Tick t) {
     if (t > now_) now_ = t;
   }
@@ -282,7 +282,7 @@ class Engine {
   /// Timestamp of the earliest live pending event, or nullopt when the
   /// queue is drained. Non-const: looking ahead purges cancelled
   /// tombstones (which is invisible to dispatch order). This is the
-  /// per-partition clock a conservative parallel run synchronizes on.
+  /// per-partition clock the partitioned group merges on.
   [[nodiscard]] std::optional<Tick> next_event_time();
 
   /// Number of live (uncancelled) events currently queued.

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace osiris::sim {
 
@@ -45,46 +44,6 @@ class Summary {
   double sum2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Used for latency distributions in the benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void add(double v) {
-    summary_.add(v);
-    const double span = hi_ - lo_;
-    auto idx = static_cast<std::int64_t>((v - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const { return counts_; }
-  [[nodiscard]] const Summary& summary() const { return summary_; }
-
-  /// Approximate quantile from bucket midpoints, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const {
-    const std::uint64_t total = summary_.count();
-    if (total == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-    std::uint64_t seen = 0;
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      seen += counts_[i];
-      if (seen > target) return lo_ + (static_cast<double>(i) + 0.5) * width;
-    }
-    return hi_;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  Summary summary_;
 };
 
 /// Log2-bucketed histogram over unsigned 64-bit samples.

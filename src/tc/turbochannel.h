@@ -52,8 +52,6 @@ class TurboChannel {
     return (bytes + cfg_.word_bytes - 1) / cfg_.word_bytes;
   }
 
-  [[nodiscard]] sim::Duration cycle_time() const { return sim::cycle(cfg_.clock_hz); }
-
   /// Pure cost (no arbitration) of a DMA transaction moving `bytes`.
   [[nodiscard]] sim::Duration dma_read_cost(std::uint32_t bytes) const {
     return sim::cycles(cfg_.dma_read_overhead_cycles + words(bytes), cfg_.clock_hz);

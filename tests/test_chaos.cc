@@ -1,6 +1,6 @@
 // Chaos orchestration (DESIGN.md §12): schedule serialization and
 // generation, the runner's invariant checking, fingerprint stability
-// across worker-thread counts, and delta-debugging shrink + replay.
+// across repeated runs, and delta-debugging shrink + replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +18,8 @@ namespace osiris::chaos {
 namespace {
 
 // A quick runner shape for tests: same traffic mix, less of it.
-RunnerConfig quick_config(int threads = 1) {
+RunnerConfig quick_config() {
   RunnerConfig cfg;
-  cfg.threads = threads;
   cfg.horizon = sim::ms(12);
   cfg.arq_msgs = 40;
   cfg.dgram_msgs = 16;
@@ -100,54 +99,45 @@ TEST(ChaosRunner, EmptyScheduleRunsClean) {
 }
 
 TEST(ChaosRunner, SeedSweepCleanAndFingerprintsMatchAcrossThreads) {
-  // Every seed runs serial and threaded; the async EOT protocol makes the
-  // worker interleaving different on every threaded run, so a couple of
-  // seeds also run threaded twice — a timing-dependent divergence that
-  // happens to miss the serial fingerprint once still has to reproduce
-  // itself exactly to pass.
+  // Every seed runs clean, and running its schedule a second time on a
+  // fresh testbed reproduces the fingerprint exactly. (The name dates from
+  // the threaded engine, when the second run used two worker threads.)
   GenOptions gopt;
   gopt.horizon = sim::ms(12);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Schedule s = generate(seed, gopt);
-    const Report serial = run_schedule(s, quick_config(1));
-    EXPECT_TRUE(serial.ok())
+    const Report first = run_schedule(s, quick_config());
+    EXPECT_TRUE(first.ok())
         << "seed " << seed << ": "
-        << (serial.violations.empty() ? "" : serial.violations[0]);
-    const Report threaded = run_schedule(s, quick_config(2));
-    EXPECT_TRUE(threaded.ok()) << "seed " << seed;
-    EXPECT_EQ(serial.fingerprint, threaded.fingerprint)
-        << "seed " << seed << " diverged between 1 and 2 worker threads";
-    if (seed <= 2) {
-      const Report again = run_schedule(s, quick_config(2));
-      EXPECT_EQ(threaded.fingerprint, again.fingerprint)
-          << "seed " << seed << " diverged between two 2-thread runs";
-    }
+        << (first.violations.empty() ? "" : first.violations[0]);
+    const Report again = run_schedule(s, quick_config());
+    EXPECT_TRUE(again.ok()) << "seed " << seed;
+    EXPECT_EQ(first.fingerprint, again.fingerprint)
+        << "seed " << seed << " diverged between two runs";
   }
 }
 
 TEST(ChaosRunner, OverloadFaultsAtTenThousandVcisStayDeterministic) {
   // Buffer exhaustion and tenant bursts against a flow table populated
   // with 10^4 mapped VCIs: recovery must stay violation-free and the
-  // fingerprint bit-identical between serial and 2-thread runs, proving
-  // the table's growth/rehash machinery is schedule-deterministic.
+  // fingerprint bit-identical between two runs, proving the table's
+  // growth/rehash machinery is deterministic.
   GenOptions gopt;
   gopt.horizon = sim::ms(12);
   gopt.eligible = {fault::Point::kRxBufferExhausted,
                    fault::Point::kTenantBurst};
-  RunnerConfig cfg = quick_config(1);
+  RunnerConfig cfg = quick_config();
   cfg.bulk_vcis = 10000;
   for (std::uint64_t seed = 3; seed <= 4; ++seed) {
     const Schedule s = generate(seed, gopt);
-    const Report serial = run_schedule(s, cfg);
-    EXPECT_TRUE(serial.ok())
+    const Report first = run_schedule(s, cfg);
+    EXPECT_TRUE(first.ok())
         << "seed " << seed << ": "
-        << (serial.violations.empty() ? "" : serial.violations[0]);
-    RunnerConfig threaded_cfg = cfg;
-    threaded_cfg.threads = 2;
-    const Report threaded = run_schedule(s, threaded_cfg);
-    EXPECT_TRUE(threaded.ok()) << "seed " << seed;
-    EXPECT_EQ(serial.fingerprint, threaded.fingerprint)
-        << "seed " << seed << " diverged between 1 and 2 worker threads";
+        << (first.violations.empty() ? "" : first.violations[0]);
+    const Report again = run_schedule(s, cfg);
+    EXPECT_TRUE(again.ok()) << "seed " << seed;
+    EXPECT_EQ(first.fingerprint, again.fingerprint)
+        << "seed " << seed << " diverged between two runs";
   }
 }
 

@@ -90,7 +90,7 @@ TEST(FlowTable, EntryFlagsSurviveRehash) {
 
 TEST(FlowTable, ForEachWalksSlabOrderAndSupportsErase) {
   // Iteration order is slab (insertion) order, independent of the hash —
-  // the determinism anchor for serial-vs-threaded fingerprints.
+  // the determinism anchor for run-to-run fingerprints.
   flow::FlowTable<Val> t;
   const std::uint32_t keys[] = {900001, 3, 500, 123456, 42};
   for (const std::uint32_t k : keys) t.insert(k);
@@ -216,9 +216,10 @@ TEST(FlowBoard, UnmapDuringReassemblyDropsCleanlyAndReleasesState) {
 
 TEST(FlowBoard, FingerprintStableAcrossThreadsWithHundredThousandVcis) {
   // The chaos runner's end-to-end fingerprint, with the flow tables grown
-  // to 10^5 mapped VCIs, must be bit-identical between serial and
-  // 2-thread runs: growth, incremental migration and iteration order are
-  // all schedule-deterministic.
+  // to 10^5 mapped VCIs, must be bit-identical between two runs: growth,
+  // incremental migration and iteration order are all deterministic.
+  // (The name dates from the threaded engine, when the second run used
+  // two worker threads.)
   chaos::Schedule s;  // no faults; the population is the stressor
   s.seed = 12;
   chaos::RunnerConfig cfg;
@@ -228,15 +229,13 @@ TEST(FlowBoard, FingerprintStableAcrossThreadsWithHundredThousandVcis) {
   cfg.rpc_calls = 4;
   cfg.adc_msgs = 6;
   cfg.bulk_vcis = 100000;
-  const chaos::Report serial = chaos::run_schedule(s, cfg);
-  EXPECT_TRUE(serial.ok()) << (serial.violations.empty()
-                                   ? ""
-                                   : serial.violations[0]);
-  chaos::RunnerConfig threaded = cfg;
-  threaded.threads = 2;
-  const chaos::Report t2 = chaos::run_schedule(s, threaded);
-  EXPECT_TRUE(t2.ok());
-  EXPECT_EQ(serial.fingerprint, t2.fingerprint);
+  const chaos::Report first = chaos::run_schedule(s, cfg);
+  EXPECT_TRUE(first.ok()) << (first.violations.empty()
+                                  ? ""
+                                  : first.violations[0]);
+  const chaos::Report again = chaos::run_schedule(s, cfg);
+  EXPECT_TRUE(again.ok());
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
 }
 
 }  // namespace

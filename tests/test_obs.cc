@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "obs/export.h"
@@ -162,25 +161,22 @@ TEST(Registry, AggregateSumsCountersAndMergesHistograms) {
 }
 
 TEST(Registry, ShardedRecordingUnderTwoThreadsAggregatesCleanly) {
-  // The sharding contract: one registry per thread, no cross-thread
-  // writes, aggregate on read after joining. (test_parallel_des covers the
-  // same shape under TSan with real engine partitions.)
+  // The sharding contract: one registry per node, each recorded into only
+  // by its owner, aggregated by name on read. (test_sim covers the same
+  // shape with real engine partitions.) The name dates from the threaded
+  // engine, when each shard had its own recording thread.
   obs::Registry shards[2];
   std::uint64_t counts[2] = {0, 0};
   shards[0].counter("n", &counts[0]);
   shards[1].counter("n", &counts[1]);
   sim::Log2Histogram* hists[2] = {shards[0].histogram("v"),
                                   shards[1].histogram("v")};
-  std::thread workers[2];
   for (int w = 0; w < 2; ++w) {
-    workers[w] = std::thread([w, &counts, &hists] {
-      for (std::uint64_t i = 1; i <= 10000; ++i) {
-        ++counts[w];
-        hists[w]->record(i);
-      }
-    });
+    for (std::uint64_t i = 1; i <= 10000; ++i) {
+      ++counts[w];
+      hists[w]->record(i);
+    }
   }
-  for (auto& t : workers) t.join();
 
   const obs::Snapshot s = obs::aggregate({&shards[0], &shards[1]});
   ASSERT_EQ(s.counters.size(), 1u);
@@ -292,16 +288,6 @@ TEST(PduSpans, ArqRetransmissionsKeepLedgerConsistent) {
   // Loss means some tx stamps never completed; the ledger stays bounded
   // (7-bit tag space per VCI) instead of growing with the loss count.
   EXPECT_EQ(spans_b.stage(obs::Stage::kDeliver).count(), e2e_b.count());
-}
-
-TEST(PduSpans, SharedSpansRejectedForMultiThreadRuns) {
-  obs::PduSpans shared;
-  NodeConfig ca = make_3000_600_config();
-  NodeConfig cb = make_3000_600_config();
-  ca.spans = &shared;
-  cb.spans = &shared;
-  Testbed tb(ca, cb);
-  EXPECT_THROW(tb.set_threads(2), std::logic_error);
 }
 
 // ---------------------------------------------------------------- export

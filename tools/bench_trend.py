@@ -2,7 +2,7 @@
 """Fold BENCH_*.json perf fields into a single trend table.
 
 Every throughput-style bench emits the common perf-trajectory fields
-(wall_seconds, engine_events, events_per_sec, threads) via
+(wall_seconds, engine_events, events_per_sec) via
 benchjson::perf_fields.  This script sweeps one or more directories (or
 explicit files) for BENCH_*.json, prints an aligned table of those fields,
 and optionally appends the rows to a TSV history file so successive CI runs
@@ -12,8 +12,7 @@ Usage:
     tools/bench_trend.py [paths...] [--append FILE] [--label LABEL]
                          [--floors FILE] [--html FILE]
 
-Paths default to build/bench and build (bench_parallel writes to the build
-root).  Files without the perf fields (e.g. the robustness benches, which
+Paths default to build/bench and build.  Files without the perf fields (e.g. the robustness benches, which
 report goodput/latency rows instead) are listed with dashes, not errors.
 Exits nonzero only if no BENCH_*.json file is found at all.
 
@@ -27,20 +26,13 @@ and the check is  value >= floor * slack  (slack < 1 is the haircut that
 absorbs machine-to-machine noise).  kind=perf rows are skipped when
 OSIRIS_SANITIZE is set (sanitized binaries are legitimately slower);
 kind=quality rows — fairness indices, goodput retention — always apply.
-Kinds with an `_mc` suffix (perf_mc, perf_ceiling_mc, ...) additionally
-require a multi-core host: they are skipped when the detected core count
-(OSIRIS_CI_CORES from ci.sh, else the bench JSON's host_cores, else
-os.cpu_count()) is below 2 — the parallel speedup and barrier-stall gates
-mean nothing when two worker threads time-slice one core.  Any violated
-or uncheckable floor makes the script exit nonzero.
+Any violated or uncheckable floor makes the script exit nonzero.
 
 --html renders a self-contained dashboard (inline SVG, no dependencies):
 the events/sec trajectory of every bench series across the accumulated
 --append history with floor lines and violation markers, the latest PDU
 latency percentiles and per-stage medians from BENCH_table1_latency.json,
-the QoS quality gates from BENCH_qos.json, and from BENCH_parallel.json
-the speedup/stall-fraction trajectory (with the 1.3x floor and 0.3
-ceiling drawn in) plus the worker phase breakdown.  Writing the
+the demux sweep from BENCH_demux.json and the quality gates.  Writing the
 dashboard never affects the exit status; only --floors gates.
 """
 
@@ -86,36 +78,12 @@ def load_rows(files):
         except (OSError, ValueError) as exc:
             rows.append({"bench": name, "error": str(exc)})
             continue
-        row = {
+        rows.append({
             "bench": name,
             "wall_seconds": data.get("wall_seconds"),
             "engine_events": data.get("engine_events"),
             "events_per_sec": data.get("events_per_sec"),
-            "threads": data.get("threads", 1),
-        }
-        # bench_parallel carries per-thread-count runs; surface each so the
-        # trend shows serial and parallel throughput side by side.  The
-        # run-level speedup and stall fraction ride on the multi-thread
-        # subrow so the history TSV carries their trajectory too.
-        subruns = []
-        for sub in data.get("runs", []):
-            if isinstance(sub, dict) and "events_per_sec" in sub:
-                subrow = {
-                    "bench": "%s/t%s" % (name, sub.get("threads", "?")),
-                    "wall_seconds": sub.get("wall_seconds"),
-                    "engine_events": sub.get("engine_events"),
-                    "events_per_sec": sub.get("events_per_sec"),
-                    "threads": sub.get("threads", 1),
-                }
-                if sub.get("threads", 1) != 1:
-                    for key in ("speedup", "barrier_stall_fraction"):
-                        if isinstance(data.get(key), (int, float)):
-                            subrow[key] = data[key]
-                subruns.append(subrow)
-        if subruns:
-            rows.extend(subruns)
-        else:
-            rows.append(row)
+        })
     return rows
 
 
@@ -129,22 +97,21 @@ def fmt(value, spec):
 
 
 def print_table(rows):
-    header = ("bench", "threads", "wall_s", "events", "events/sec")
+    header = ("bench", "wall_s", "events", "events/sec")
     widths = [max(len(header[0]), max((len(r["bench"]) for r in rows), default=0)),
-              7, 9, 12, 13]
-    line = "%-*s  %*s  %*s  %*s  %*s"
+              9, 12, 13]
+    line = "%-*s  %*s  %*s  %*s"
     print(line % (widths[0], header[0], widths[1], header[1], widths[2],
-                  header[2], widths[3], header[3], widths[4], header[4]))
+                  header[2], widths[3], header[3]))
     for r in rows:
         if "error" in r:
             print("%-*s  unreadable: %s" % (widths[0], r["bench"], r["error"]))
             continue
         print(line % (
             widths[0], r["bench"],
-            widths[1], fmt(r["threads"], "%d"),
-            widths[2], fmt(r["wall_seconds"], "%.3f"),
-            widths[3], fmt(r["engine_events"], "%d"),
-            widths[4], fmt(r["events_per_sec"], "%.0f"),
+            widths[1], fmt(r["wall_seconds"], "%.3f"),
+            widths[2], fmt(r["engine_events"], "%d"),
+            widths[3], fmt(r["events_per_sec"], "%.0f"),
         ))
 
 
@@ -164,14 +131,11 @@ def load_floors(path):
                 raise ValueError("%s:%d: want 5 tab-separated columns, got %d"
                                  % (path, lineno, len(parts)))
             bench, field, floor, slack, kind = parts
-            # An `_mc` suffix on any kind marks a multi-core-only gate.
-            base_kind = kind[:-len("_mc")] if kind.endswith("_mc") else kind
-            if base_kind not in ("perf", "quality",
-                                 "perf_ceiling", "quality_ceiling"):
+            if kind not in ("perf", "quality",
+                            "perf_ceiling", "quality_ceiling"):
                 raise ValueError(
                     "%s:%d: kind must be perf|quality|perf_ceiling|"
-                    "quality_ceiling (optionally with an _mc suffix), got %r"
-                    % (path, lineno, kind))
+                    "quality_ceiling, got %r" % (path, lineno, kind))
             floors.append({
                 "bench": bench,
                 "field": field,
@@ -180,21 +144,6 @@ def load_floors(path):
                 "kind": kind,
             })
     return floors
-
-
-def host_cores(data_by_bench):
-    """Core count for the _mc gates: ci.sh's OSIRIS_CI_CORES wins, then the
-    parallel bench's own host_cores record, then os.cpu_count()."""
-    env = os.environ.get("OSIRIS_CI_CORES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    par = data_by_bench.get("parallel")
-    if isinstance(par, dict) and isinstance(par.get("host_cores"), int):
-        return par["host_cores"]
-    return os.cpu_count() or 1
 
 
 def check_floors(files, floors):
@@ -212,21 +161,13 @@ def check_floors(files, floors):
             except (OSError, ValueError):
                 pass  # already reported as unreadable in the trend table
     sanitized = bool(os.environ.get("OSIRIS_SANITIZE"))
-    cores = host_cores(data_by_bench)
     failures = 0
     for fl in floors:
         tag = "%s.%s" % (fl["bench"], fl["field"])
         kind = fl["kind"]
-        multicore_only = kind.endswith("_mc")
-        if multicore_only:
-            kind = kind[:-len("_mc")]
         ceiling = kind.endswith("_ceiling")
         if kind.startswith("perf") and sanitized:
             print("floor SKIP %-32s (perf gate, OSIRIS_SANITIZE set)" % tag)
-            continue
-        if multicore_only and cores < 2:
-            print("floor SKIP %-32s (multi-core gate, host has %d core%s)"
-                  % (tag, cores, "" if cores == 1 else "s"))
             continue
         data = data_by_bench.get(fl["bench"])
         value = data.get(fl["field"]) if isinstance(data, dict) else None
@@ -255,24 +196,26 @@ def run_label():
     return "%s@%s" % (rev, time.strftime("%Y-%m-%dT%H:%M:%S"))
 
 
+HISTORY_COLUMNS = ("run", "bench", "wall_seconds", "engine_events",
+                   "events_per_sec")
+
+
 def append_history(rows, path, label):
-    # The speedup/stall columns arrived after the first histories were
-    # written; load_history indexes columns by header name, so a file that
-    # predates them simply yields no speedup trajectory (the extra trailing
-    # fields on new rows are ignored against the old header).
+    # Rows follow the file's own header, so a history written with other
+    # columns keeps lining up: columns no longer produced read "-".
+    header = list(HISTORY_COLUMNS)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not fresh:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
     with open(path, "a", encoding="utf-8") as fh:
         if fresh:
-            fh.write("run\tbench\tthreads\twall_seconds\tengine_events"
-                     "\tevents_per_sec\tspeedup\tstall\n")
+            fh.write("\t".join(header) + "\n")
         for r in rows:
             if "error" in r or r.get("events_per_sec") is None:
                 continue
-            fh.write("%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n" % (
-                label, r["bench"], r["threads"], r["wall_seconds"],
-                r["engine_events"], r["events_per_sec"],
-                r.get("speedup", "-"),
-                r.get("barrier_stall_fraction", "-")))
+            vals = dict(r, run=label)
+            fh.write("\t".join(str(vals.get(c, "-")) for c in header) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -285,15 +228,12 @@ _PALETTE = ["#2563eb", "#dc2626", "#059669", "#d97706", "#7c3aed",
 
 def load_history(path):
     """Reads the --append TSV back as ({bench: [(run_index, label, value)]},
-    run labels, {metric: [(run_index, label, value)]}) where the extras dict
-    carries the parallel speedup/stall trajectory when the history has those
-    columns.  Missing/empty file yields empties — the dashboard then plots
-    only the current run."""
+    run labels).  Missing/empty file yields empties — the dashboard then
+    plots only the current run."""
     series = {}
     labels = []
-    extras = {}
     if not path or not os.path.exists(path):
-        return series, labels, extras
+        return series, labels
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         try:
@@ -301,11 +241,7 @@ def load_history(path):
             i_bench = header.index("bench")
             i_eps = header.index("events_per_sec")
         except ValueError:
-            return {}, [], {}
-        opt = {}
-        for col in ("speedup", "stall"):
-            if col in header:
-                opt[col] = header.index(col)
+            return {}, []
         for raw in fh:
             parts = raw.rstrip("\n").split("\t")
             if len(parts) <= max(i_run, i_bench, i_eps):
@@ -318,15 +254,7 @@ def load_history(path):
             if run not in labels:
                 labels.append(run)
             series.setdefault(bench, []).append((labels.index(run), run, eps))
-            for col, i_col in opt.items():
-                if i_col >= len(parts):
-                    continue
-                try:
-                    v = float(parts[i_col])
-                except ValueError:
-                    continue  # "-" on serial rows and pre-column histories
-                extras.setdefault(col, []).append((labels.index(run), run, v))
-    return series, labels, extras
+    return series, labels
 
 
 def _svg_line_chart(series, labels, floors, width=900, height=320):
@@ -426,82 +354,6 @@ def _svg_bar_chart(items, unit, width=520, color="#2563eb"):
     return "".join(out)
 
 
-def _svg_speedup_chart(extras, labels, floors, width=900, height=260):
-    """Parallel speedup and worker-stall trajectories on one panel.  The
-    floors.tsv gates draw as dashed markers: the speedup floor must stay
-    below the blue line, the stall ceiling above the red one."""
-    sp = extras.get("speedup", [])
-    st = extras.get("stall", [])
-    if not sp and not st:
-        return "<p>(no parallel speedup history)</p>"
-    cuts = {(fl["bench"], fl["field"]): fl["floor"] * fl["slack"]
-            for fl in floors}
-    sp_floor = cuts.get(("parallel", "speedup"))
-    st_ceil = cuts.get(("parallel", "barrier_stall_fraction"))
-    pad_l, pad_r, pad_t, pad_b = 70, 180, 16, 40
-    pw, ph = width - pad_l - pad_r, height - pad_t - pad_b
-    vals = [v for (_, _, v) in sp + st]
-    vals.extend(c for c in (sp_floor, st_ceil) if c is not None)
-    vmax = max(vals + [1.0]) * 1.15
-    nruns = max(len(labels), 1)
-
-    def sx(i):
-        return pad_l + (pw * i / max(nruns - 1, 1) if nruns > 1 else pw / 2)
-
-    def sy(v):
-        return pad_t + ph * (1 - v / vmax)
-
-    out = ['<svg viewBox="0 0 %d %d" xmlns="http://www.w3.org/2000/svg">'
-           % (width, height)]
-    for k in range(5):
-        v = vmax * k / 4
-        y = sy(v)
-        out.append('<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" '
-                   'stroke="#e5e7eb"/>' % (pad_l, y, width - pad_r, y))
-        out.append('<text x="%d" y="%.1f" font-size="11" fill="#6b7280" '
-                   'text-anchor="end">%.2f</text>' % (pad_l - 6, y + 4, v))
-    for i in (0, nruns - 1):
-        if i < len(labels):
-            out.append('<text x="%.1f" y="%d" font-size="10" fill="#6b7280" '
-                       'text-anchor="middle">%s</text>'
-                       % (sx(i), height - pad_b + 16,
-                          html_escape(labels[i].split("@")[0])))
-    for idx, (name, pts, color, cut, cut_name) in enumerate((
-            ("speedup", sp, "#2563eb", sp_floor, "floor"),
-            ("stall fraction", st, "#dc2626", st_ceil, "ceiling"))):
-        if pts:
-            coords = " ".join("%.1f,%.1f" % (sx(i), sy(v))
-                              for (i, _, v) in pts)
-            out.append('<polyline points="%s" fill="none" stroke="%s" '
-                       'stroke-width="1.8"/>' % (coords, color))
-            for (i, run, v) in pts:
-                bad = cut is not None and \
-                    (v > cut if name.startswith("stall") else v < cut)
-                out.append('<circle cx="%.1f" cy="%.1f" r="%s" fill="%s"%s>'
-                           '<title>%s  %s = %.3g</title></circle>'
-                           % (sx(i), sy(v), "4.5" if bad else "3",
-                              "#7f1d1d" if bad else color,
-                              ' stroke="#7f1d1d" stroke-width="2"'
-                              if bad else "",
-                              html_escape(run), html_escape(name), v))
-        if cut is not None:
-            y = sy(cut)
-            out.append('<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" '
-                       'stroke="%s" stroke-dasharray="6 4"/>'
-                       % (pad_l, y, width - pad_r, y, color))
-            out.append('<text x="%d" y="%.1f" font-size="10" fill="%s">'
-                       '%s %s %.2g</text>'
-                       % (pad_l + 4, y - 4, color, html_escape(name),
-                          cut_name, cut))
-        ly = pad_t + 14 * idx
-        out.append('<rect x="%d" y="%d" width="10" height="10" fill="%s"/>'
-                   % (width - pad_r + 10, ly, color))
-        out.append('<text x="%d" y="%d" font-size="11" fill="#374151">%s'
-                   '</text>' % (width - pad_r + 25, ly + 9, html_escape(name)))
-    out.append("</svg>")
-    return "".join(out)
-
-
 def _gate_bullets(data, floors):
     """Quality-gate bullets: measured value vs its floor."""
     rows = []
@@ -541,18 +393,12 @@ def write_dashboard(path, files, rows, history_path, floors):
                         json.load(fh)
             except (OSError, ValueError):
                 pass
-    series, labels, extras = load_history(history_path)
+    series, labels = load_history(history_path)
     if not series:  # no history yet: plot the current run as a single point
         for r in rows:
             if r.get("events_per_sec") is not None:
                 series[r["bench"]] = [(0, "current", r["events_per_sec"])]
         labels = ["current"]
-    if not extras:
-        par_now = data_by_bench.get("parallel", {})
-        for key, col in (("speedup", "speedup"),
-                         ("barrier_stall_fraction", "stall")):
-            if isinstance(par_now.get(key), (int, float)):
-                extras[col] = [(len(labels) - 1, labels[-1], par_now[key])]
 
     parts = ["<!DOCTYPE html><html><head><meta charset='utf-8'>"
              "<title>OSIRIS bench trend</title><style>"
@@ -612,41 +458,14 @@ def write_dashboard(path, files, rows, history_path, floors):
         parts.append("<h2>Quality gates</h2>")
         parts.append(_gate_bullets(data_by_bench, floors))
 
-    par = data_by_bench.get("parallel", {})
-    if extras:
-        parts.append("<h2>Parallel speedup &amp; stall trajectory</h2>")
-        parts.append(_svg_speedup_chart(extras, labels, floors))
-    runs = [r for r in par.get("runs", [])
-            if isinstance(r, dict) and isinstance(r.get("phase_ns"), dict)]
-    if runs:
-        parts.append("<h2>Parallel phase breakdown (worker time)</h2>")
-        parts.append("<table><tr><th>threads</th><th>dispatch</th>"
-                     "<th>drain</th><th>retry stall</th><th>barrier</th>"
-                     "</tr>")
-        for r in runs:
-            p = r["phase_ns"]
-            tot = sum(p.get(k, 0) for k in
-                      ("dispatch_sum", "drain_sum", "stall_sum",
-                       "barrier_sum")) or 1
-            parts.append(
-                "<tr><td>%s</td><td>%.1f%%</td><td>%.1f%%</td>"
-                "<td>%.1f%%</td><td>%.1f%%</td></tr>"
-                % (r.get("threads", "?"),
-                   100.0 * p.get("dispatch_sum", 0) / tot,
-                   100.0 * p.get("drain_sum", 0) / tot,
-                   100.0 * p.get("stall_sum", 0) / tot,
-                   100.0 * p.get("barrier_sum", 0) / tot))
-        parts.append("</table>")
-
     parts.append("<h2>Latest run</h2>")
-    parts.append("<table><tr><th>bench</th><th>threads</th><th>wall s</th>"
+    parts.append("<table><tr><th>bench</th><th>wall s</th>"
                  "<th>events</th><th>events/sec</th></tr>")
     for r in rows:
         if "error" in r:
             continue
-        parts.append("<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
-                     "<td>%s</td></tr>"
-                     % (html_escape(r["bench"]), fmt(r["threads"], "%d"),
+        parts.append("<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>"
+                     % (html_escape(r["bench"]),
                         fmt(r["wall_seconds"], "%.3f"),
                         fmt(r["engine_events"], "%d"),
                         fmt(r["events_per_sec"], "%.0f")))

@@ -2,13 +2,12 @@
 // testbeds, and on the first invariant violation shrinks the schedule to a
 // minimal action set and writes a replayable artifact.
 //
-//   $ ./chaos_sweep --seeds 200 --threads 2
+//   $ ./chaos_sweep --seeds 200
 //   $ ./chaos_sweep --replay build/chaos_repro.txt
 //
 // Flags:
 //   --seeds N        number of schedules to run (default 25)
 //   --base-seed N    first seed (default 1; seeds are base..base+N-1)
-//   --threads N      testbed worker threads, 1 or 2 (default 1)
 //   --repro-out P    artifact path on failure (default chaos_repro.txt)
 //   --replay P       run one schedule from an artifact instead of sweeping
 //
@@ -53,7 +52,6 @@ int fail_and_shrink(const chaos::Schedule& sch, const chaos::RunnerConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = harness::parse_threads(argc, argv, 1);
   const std::string replay = harness::parse_string_flag(argc, argv, "--replay");
   const std::string seeds_s = harness::parse_string_flag(argc, argv, "--seeds");
   const std::string base_s =
@@ -61,8 +59,7 @@ int main(int argc, char** argv) {
   std::string repro_out = harness::parse_string_flag(argc, argv, "--repro-out");
   if (repro_out.empty()) repro_out = "chaos_repro.txt";
 
-  chaos::RunnerConfig cfg;
-  cfg.threads = threads;
+  const chaos::RunnerConfig cfg;
 
   if (!replay.empty()) {
     std::ifstream in(replay);
@@ -104,9 +101,9 @@ int main(int argc, char** argv) {
     if (!rep.ok()) return fail_and_shrink(sch, cfg, rep, repro_out);
   }
   std::printf(
-      "chaos sweep: %d seeds clean (threads=%d, %llu faults fired, "
+      "chaos sweep: %d seeds clean (%llu faults fired, "
       "%llu resets, %llu arq resyncs)\n",
-      seeds, threads, static_cast<unsigned long long>(total_faults),
+      seeds, static_cast<unsigned long long>(total_faults),
       static_cast<unsigned long long>(total_resets),
       static_cast<unsigned long long>(total_resyncs));
   return 0;
