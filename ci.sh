@@ -11,6 +11,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "== dead public API (trend number, never gates) =="
+# Public member functions in src/**/*.h that nothing outside their own
+# .h/.cc pair uses; run tools/dead_symbols.py alone for the list.
+python3 tools/dead_symbols.py | tail -n 1 || true
+
 echo "== bench smoke (machine-readable output) =="
 # The robustness benches must run to completion and emit their JSON result
 # files (goodput + latency quantiles per row/tenant) for downstream plots.

@@ -81,8 +81,6 @@ class FbufPool {
   [[nodiscard]] bool is_path_cached(int path) const;
 
   // Statistics.
-  [[nodiscard]] std::uint64_t cached_allocs() const { return cached_allocs_; }
-  [[nodiscard]] std::uint64_t uncached_allocs() const { return uncached_allocs_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
@@ -104,8 +102,6 @@ class FbufPool {
   std::list<int> mru_;  // front = most recent, members = cached paths
   std::deque<mem::PhysAddr> uncached_free_;
 
-  std::uint64_t cached_allocs_ = 0;
-  std::uint64_t uncached_allocs_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

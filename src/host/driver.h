@@ -284,14 +284,14 @@ class OsirisDriver {
 
   /// Transmit-completion watermarks (§2.1.2 lazy reclaim): a send's DMA is
   /// finished once tx_descs_retired() reaches the tx_descs_accepted() value
-  /// observed just after that send returned. Zero-copy senders (the ARQ
-  /// frame arena, ProtoStack's header pool) use these to decide when a
+  /// observed just after that send returned. Zero-copy senders (every
+  /// proto::TxSlots pool: headers, RPC and ARQ frames) use these to decide when a
   /// buffer may be rewritten; reusing it earlier races the board's DMA
   /// reads. A watchdog reset retires everything outstanding (lost chains
   /// never complete; replayed parked chains are re-accepted), which would
   /// let post-reset reuse race a replayed chain — zero-copy senders must
-  /// therefore re-quarantine their slots from a reset hook (proto::TxSlots
-  /// holds both rules).
+  /// therefore re-quarantine their slots from a reset hook (TxSlots holds
+  /// both rules).
   [[nodiscard]] std::uint64_t tx_descs_accepted() const {
     return tx_descs_accepted_;
   }

@@ -190,6 +190,9 @@ void register_metrics(obs::Registry& r, Node& n, const std::string& prefix) {
   add("fault.watchdog_polls", [np] { return np->driver.watchdog_polls(); });
   add("fault.watchdog_resets", [np] { return np->driver.watchdog_resets(); });
   add("fault.generation", [np] { return np->driver.generation(); });
+  add("fault.crc_failures", [np] { return np->driver.crc_failures(); });
+  add("fault.resyncs_observed",
+      [np] { return np->driver.resyncs_observed(); });
 
   r.gauge(prefix + "host.bus_utilization",
           [np] { return np->bus.bus().utilization(); });

@@ -30,8 +30,8 @@ ArqEndpoint::ArqEndpoint(sim::Engine& eng, ProtoStack& stack,
       space_(&space),
       cpu_(&cpu),
       mc_(&mc),
-      cfg_(cfg) {
-  for (std::size_t i = 0; i < kSlots; ++i) slots_.add(space_->alloc(kSlotBytes));
+      cfg_(cfg),
+      frames_(stack.driver(), stack.cache(), space, 16 * 1024, 96) {
   attach();
   reset_hook_token_ = stack_->driver().add_reset_hook(
       [this](sim::Tick at) { on_driver_reset(at); });
@@ -71,12 +71,7 @@ bool ArqEndpoint::dead(atm::Vci vci) const {
 }
 
 std::vector<mem::PhysBuffer> ArqEndpoint::arena_buffers() const {
-  std::vector<mem::PhysBuffer> out;
-  for (const TxSlots::Slot& s : slots_.slots()) {
-    const auto sc = space_->scatter(s.va, kSlotBytes);
-    out.insert(out.end(), sc.begin(), sc.end());
-  }
-  return out;
+  return frames_.buffers();
 }
 
 std::vector<std::uint8_t> ArqEndpoint::frame(
@@ -95,32 +90,16 @@ std::vector<std::uint8_t> ArqEndpoint::frame(
 
 sim::Tick ArqEndpoint::send_frame(sim::Tick at, atm::Vci vci,
                                   const std::vector<std::uint8_t>& framed) {
-  host::OsirisDriver& drv = stack_->driver();
-  sim::Tick t = at;
-  if (framed.size() <= kSlotBytes) {
-    // A slot is reusable only once the board has DMAed its previous frame
-    // out (see TxSlots). Poll the tail word, then scan for a free slot
-    // from the cursor.
-    t = drv.reclaim_tx(t);
-    if (const auto idx = slots_.acquire(drv.tx_descs_retired())) {
-      const mem::VirtAddr va = slots_.slots()[*idx].va;
-      stack_->write_through(*space_, va, framed);
-      t = stack_->send(
-          t, vci,
-          Message::view(*space_, va, static_cast<std::uint32_t>(framed.size())));
-      slots_.stamp(*idx, drv.tx_descs_accepted());
-      return t;
-    }
-    // Every slot still owned by an in-flight DMA: fall back to a fresh
-    // (never reused) allocation rather than stall or corrupt.
-    ++arena_overflows_;
-  }
-  const Message m = Message::from_payload(*space_, framed);
-  return stack_->send(t, vci, m);
+  // Poll the tail word first, so slots whose DMA has finished are free.
+  sim::Tick t = stack_->driver().reclaim_tx(at);
+  t = stack_->send(t, vci,
+                   Message::view(*space_, frames_.put(framed),
+                                 static_cast<std::uint32_t>(framed.size())));
+  frames_.sent();
+  return t;
 }
 
 sim::Tick ArqEndpoint::send_ack(sim::Tick at, atm::Vci vci) {
-  ++acks_sent_;
   return send_frame(at, vci, frame(kTypeAck, vci, 0, rx_[vci].expect, {}));
 }
 
@@ -154,27 +133,16 @@ void ArqEndpoint::on_timeout(atm::Vci vci) {
 
 // Session resynchronization after a generation-checked adaptor reset.
 //
-// A force_reset leaves the sender's ARQ state disagreeing with reality in
-// two ways:
-//
-//  1. The driver credits every lost in-flight chain as retired
-//     (tx_descs_retired_ += inflight), then replays parked sends. A frame
-//     arena slot whose busy_until watermark predates the reset therefore
-//     looks free even when a *replayed* chain still references it — the
-//     next send would rewrite it mid-DMA and put a torn frame on the wire
-//     (previously only the end-to-end checksum caught this). Every busy
-//     slot is re-quarantined (TxSlots::requarantine).
-//
-//  2. Frames in the retransmit window were on the board or the wire when
-//     the reset discarded them. Waiting out the current (possibly
-//     backed-off) RTO — and burning retry budget on a path that is known
-//     to have just been rebuilt — delays convergence for no reason.
-//     Retries and RTO are reset and the base frame of every live VCI is
-//     retransmitted immediately, from a scheduled event: this hook runs
-//     inside force_reset(), and transmitting synchronously would re-enter
-//     the driver mid-reset.
+// A force_reset leaves the sender's ARQ state disagreeing with reality:
+// frames in the retransmit window were on the board or the wire when the
+// reset discarded them. Waiting out the current (possibly backed-off) RTO
+// — and burning retry budget on a path that is known to have just been
+// rebuilt — delays convergence for no reason. Retries and RTO are reset
+// and the base frame of every live VCI is retransmitted immediately, from
+// a scheduled event: this hook runs inside force_reset(), and transmitting
+// synchronously would re-enter the driver mid-reset. (The frame slots
+// re-quarantine themselves from their own reset hook; see TxSlots.)
 void ArqEndpoint::on_driver_reset(sim::Tick /*at*/) {
-  slots_.requarantine(stack_->driver().tx_descs_accepted());
   bool live = false;
   for (auto& [vci, s] : tx_) {
     if (s.dead || s.window.empty()) continue;

@@ -52,7 +52,7 @@ class ArqEndpoint {
  public:
   using Sink = ProtoStack::Sink;
 
-  /// `space` backs the outgoing-frame slot ring (same registered-buffer
+  /// `space` backs the outgoing frame slots (same registered-buffer
   /// discipline as RpcEndpoint; expose arena_buffers() for ADC use).
   ArqEndpoint(sim::Engine& eng, ProtoStack& stack, mem::AddressSpace& space,
               host::HostCpu& cpu, const host::MachineConfig& mc,
@@ -92,20 +92,14 @@ class ArqEndpoint {
   // Statistics.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
   [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
   /// Frames whose embedded VCI disagreed with the VCI they arrived on.
   [[nodiscard]] std::uint64_t misrouted() const { return misrouted_; }
   [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
   /// Payloads abandoned when a VCI exhausted its retry budget.
   [[nodiscard]] std::uint64_t gave_up() const { return gave_up_; }
-  /// Sends that fell back to a fresh allocation because every arena slot
-  /// was still owned by an in-flight transmit DMA.
-  [[nodiscard]] std::uint64_t arena_overflows() const {
-    return arena_overflows_;
-  }
-  /// Adaptor resets that found unacked frames and resynchronized: slots
-  /// re-quarantined, backoff cleared, base frames retransmitted at once.
+  /// Adaptor resets that found unacked frames and resynchronized: backoff
+  /// cleared, base frames retransmitted at once.
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
  private:
@@ -156,12 +150,10 @@ class ArqEndpoint {
   ArqConfig cfg_;
   Sink sink_;
 
-  // Outgoing frames are written into a preallocated slot ring and sent
-  // zero-copy (Message::view); the board DMAs straight out of the slot,
-  // so a slot is reclaimed only at transmit completion (TxSlots).
-  static constexpr std::size_t kSlots = 96;
-  static constexpr std::uint32_t kSlotBytes = 16 * 1024;
-  TxSlots slots_;
+  // Outgoing frames are written into registered slots and sent zero-copy;
+  // the board DMAs straight out of a slot, so it is reclaimed only at
+  // transmit completion (TxSlots).
+  TxSlots frames_;
 
   std::map<atm::Vci, TxState> tx_;
   std::map<atm::Vci, RxState> rx_;
@@ -172,12 +164,10 @@ class ArqEndpoint {
 
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t acks_sent_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t misrouted_ = 0;
   std::uint64_t malformed_ = 0;
   std::uint64_t gave_up_ = 0;
-  std::uint64_t arena_overflows_ = 0;
   std::uint64_t resyncs_ = 0;
 };
 

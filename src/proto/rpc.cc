@@ -11,10 +11,11 @@ constexpr std::size_t kRpcHeader = 8;
 RpcEndpoint::RpcEndpoint(sim::Engine& eng, ProtoStack& stack,
                          mem::AddressSpace& space, host::HostCpu& cpu,
                          const host::MachineConfig& mc)
-    : eng_(&eng), stack_(&stack), space_(&space), cpu_(&cpu), mc_(&mc) {
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    slots_.push_back(space_->alloc(kSlotBytes));
-  }
+    : eng_(&eng),
+      stack_(&stack),
+      cpu_(&cpu),
+      mc_(&mc),
+      frames_(stack.driver(), stack.cache(), space, 16 * 1024, 96) {
   stack_->set_sink([this](sim::Tick at, atm::Vci vci,
                           std::vector<std::uint8_t>&& data) {
     on_data(at, vci, std::move(data));
@@ -22,12 +23,7 @@ RpcEndpoint::RpcEndpoint(sim::Engine& eng, ProtoStack& stack,
 }
 
 std::vector<mem::PhysBuffer> RpcEndpoint::arena_buffers() const {
-  std::vector<mem::PhysBuffer> out;
-  for (const mem::VirtAddr va : slots_) {
-    const auto sc = space_->scatter(va, kSlotBytes);
-    out.insert(out.end(), sc.begin(), sc.end());
-  }
-  return out;
+  return frames_.buffers();
 }
 
 void RpcEndpoint::serve(Handler h) { handler_ = std::move(h); }
@@ -52,19 +48,12 @@ sim::Tick RpcEndpoint::send_framed(sim::Tick at, atm::Vci vci,
   framed[4] = response ? 1 : 0;
   std::copy(payload.begin(), payload.end(), framed.begin() + kRpcHeader);
   if (arq_ != nullptr) return arq_->send(at, vci, std::move(framed));
-  if (framed.size() <= kSlotBytes) {
-    // Write into the next registered slot and send a view over it.
-    const mem::VirtAddr slot = slots_[next_slot_];
-    next_slot_ = (next_slot_ + 1) % kSlots;
-    stack_->write_through(*space_, slot, framed);
-    return stack_->send(
-        at, vci,
-        Message::view(*space_, slot, static_cast<std::uint32_t>(framed.size())));
-  }
-  // Oversized frame: fall back to a fresh allocation (kernel endpoints
-  // only — over an ADC the board would reject the unregistered pages).
-  const Message m = Message::from_payload(*space_, framed);
-  return stack_->send(at, vci, m);
+  const sim::Tick t = stack_->send(
+      at, vci,
+      Message::view(frames_.space(), frames_.put(framed),
+                    static_cast<std::uint32_t>(framed.size())));
+  frames_.sent();
+  return t;
 }
 
 sim::Tick RpcEndpoint::call(sim::Tick at, atm::Vci vci,

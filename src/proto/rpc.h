@@ -22,6 +22,7 @@
 #include "proto/arq.h"
 #include "proto/message.h"
 #include "proto/stack.h"
+#include "proto/tx_slots.h"
 #include "sim/engine.h"
 
 namespace osiris::proto {
@@ -46,11 +47,12 @@ class RpcEndpoint {
 
   /// `space` provides backing memory for outgoing messages (the kernel
   /// space for in-kernel endpoints, the ADC's space for user-space ones).
-  /// Outgoing frames are written into a preallocated ring of registered
-  /// buffer slots — the pattern an ADC application must follow, since the
-  /// board only accepts DMA from its authorized page list; register the
-  /// slots via arena_buffers(). Frames larger than a slot fall back to a
-  /// fresh allocation (fine in the kernel, rejected over an ADC).
+  /// Outgoing frames are written into 96 preallocated 16 KB slots of
+  /// registered buffer memory (TxSlots) — the pattern an ADC application
+  /// must follow, since the board only accepts DMA from its authorized
+  /// page list; register the slots via arena_buffers(). Frames larger
+  /// than a slot fall back to a fresh allocation (fine in the kernel,
+  /// rejected over an ADC).
   RpcEndpoint(sim::Engine& eng, ProtoStack& stack, mem::AddressSpace& space,
               host::HostCpu& cpu, const host::MachineConfig& mc);
 
@@ -105,19 +107,13 @@ class RpcEndpoint {
 
   sim::Engine* eng_;
   ProtoStack* stack_;
-  mem::AddressSpace* space_;
   host::HostCpu* cpu_;
   const host::MachineConfig* mc_;
   ArqEndpoint* arq_ = nullptr;
   Handler handler_;
-  // Registered-buffer discipline: a slot must not be rewritten while the
-  // board may still DMA from it. The transmit queue holds at most 63
-  // descriptors, so a ring deeper than that is safe for any number of
-  // outstanding calls.
-  static constexpr std::size_t kSlots = 96;
-  static constexpr std::uint32_t kSlotBytes = 16 * 1024;
-  std::vector<mem::VirtAddr> slots_;
-  std::size_t next_slot_ = 0;
+  // Outgoing frames go into registered slots reclaimed at transmit
+  // completion (TxSlots).
+  TxSlots frames_;
   std::uint32_t next_id_ = 1;  // never reused, so an id fully keys a call
   std::map<std::uint32_t, Pending> pending_;
 

@@ -80,63 +80,35 @@ void ProtoStack::on_driver_reset() {
   // re-posts the whole pool itself, so retained buffers must be
   // FORGOTTEN, not released — releasing would double-post them. Partial
   // reassemblies die with their buffers; ARQ (if running) retransmits.
-  reset_drops_ += reasm_.size();
   reasm_.clear();
-  for (HeaderPool& p : hdr_pools_) p.bufs.requarantine(drv_->tx_descs_accepted());
 }
 
-void ProtoStack::use_header_arena(mem::AddressSpace& space, std::size_t slots) {
-  constexpr std::uint32_t kSlotBytes = 32;  // >= kIpHeader and kUdpHeader
-  hdr_space_ = &space;
-  hdr_slots_.clear();
-  for (std::size_t i = 0; i < slots; ++i) {
-    hdr_slots_.push_back(space.alloc(kSlotBytes));
-  }
+void ProtoStack::use_header_arena(mem::AddressSpace& space) {
+  // Ahead of any on-demand pool of the same space, so add_header finds it.
+  hdr_pools_.insert(hdr_pools_.begin(),
+                    std::make_unique<TxSlots>(*drv_, *cache_, space, 32, 256));
+  arena_ = hdr_pools_.front().get();
 }
 
 std::vector<mem::PhysBuffer> ProtoStack::header_buffers() const {
-  std::vector<mem::PhysBuffer> out;
-  for (const mem::VirtAddr va : hdr_slots_) {
-    const auto sc = hdr_space_->scatter(va, 32);
-    out.insert(out.end(), sc.begin(), sc.end());
-  }
-  return out;
+  return arena_ != nullptr ? arena_->buffers() : std::vector<mem::PhysBuffer>{};
 }
 
-void ProtoStack::write_through(mem::AddressSpace& space, mem::VirtAddr va,
-                               std::span<const std::uint8_t> bytes) {
-  std::size_t done = 0;
-  for (const auto& pb :
-       space.scatter(va, static_cast<std::uint32_t>(bytes.size()))) {
-    cache_->cpu_write(pb.addr, bytes.subspan(done, pb.len));
-    done += pb.len;
-  }
+std::uint64_t ProtoStack::header_overflows() const {
+  return arena_ != nullptr ? arena_->overflows() : 0;
 }
 
 void ProtoStack::add_header(Message& m, std::span<const std::uint8_t> bytes) {
-  if (hdr_slots_.empty()) {
-    mem::AddressSpace& space = m.space();
-    auto pool = std::find_if(hdr_pools_.begin(), hdr_pools_.end(),
-                             [&](const HeaderPool& p) { return p.space == &space; });
-    if (pool == hdr_pools_.end()) {
-      pool = hdr_pools_.insert(hdr_pools_.end(), HeaderPool{&space, {}});
-    }
-    std::size_t idx = 0;
-    if (const auto free = pool->bufs.acquire(drv_->tx_descs_retired())) {
-      idx = *free;
-    } else {
-      idx = pool->bufs.add(space.alloc(kIpHeader));  // fits either header
-    }
-    pool->bufs.stamp(idx, TxSlots::kHeld);
-    const mem::VirtAddr va = pool->bufs.slots()[idx].va;
-    space.write(va, bytes);
-    m.push_view(va, static_cast<std::uint32_t>(bytes.size()));
-    return;
+  mem::AddressSpace& space = m.space();
+  auto pool = std::find_if(hdr_pools_.begin(), hdr_pools_.end(),
+                           [&](const auto& p) { return &p->space() == &space; });
+  if (pool == hdr_pools_.end()) {
+    // kIpHeader bytes fit either header.
+    pool = hdr_pools_.insert(
+        hdr_pools_.end(),
+        std::make_unique<TxSlots>(*drv_, *cache_, space, kIpHeader));
   }
-  const mem::VirtAddr slot = hdr_slots_[next_hdr_ % hdr_slots_.size()];
-  ++next_hdr_;
-  write_through(*hdr_space_, slot, bytes);
-  m.push_view(slot, static_cast<std::uint32_t>(bytes.size()));
+  m.push_view((*pool)->put(bytes), static_cast<std::uint32_t>(bytes.size()));
 }
 
 sim::Tick ProtoStack::checksum_cost(sim::Tick at, const mem::AccessCost& c,
@@ -188,7 +160,7 @@ sim::Tick ProtoStack::send(sim::Tick at, atm::Vci vci, const Message& payload) {
     bufs_per_pdu_.add(static_cast<double>(sc.size()));
     t = drv_->send(t, vci, sc);
   }
-  for (HeaderPool& p : hdr_pools_) p.bufs.release_held(drv_->tx_descs_accepted());
+  for (const auto& p : hdr_pools_) p->sent();
   return t;
 }
 

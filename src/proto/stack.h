@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "atm/checksum.h"
@@ -67,14 +68,18 @@ class ProtoStack {
   /// this should be zero).
   [[nodiscard]] std::size_t pending_reassemblies() const { return reasm_.size(); }
 
-  /// Switches outgoing protocol headers to a preallocated slot ring in
-  /// `space`. Application device channels need this: the board only DMAs
-  /// from authorized pages, so headers — like payloads — must come from
-  /// registered memory (expose the pages via header_buffers()).
-  void use_header_arena(mem::AddressSpace& space, std::size_t slots = 256);
+  /// Gives `space` a registered header arena: its header pool is created
+  /// up front (256 slots of 32 B) instead of on first use. Application
+  /// device channels need this: the board only DMAs from authorized
+  /// pages, so headers — like payloads — must come from registered memory
+  /// (expose the pages via header_buffers()).
+  void use_header_arena(mem::AddressSpace& space);
 
   /// Physical buffers backing the header arena (for ADC authorization).
   [[nodiscard]] std::vector<mem::PhysBuffer> header_buffers() const;
+
+  /// Header slots the arena added because all of them were in flight.
+  [[nodiscard]] std::uint64_t header_overflows() const;
 
   void set_sink(Sink s) { sink_ = std::move(s); }
 
@@ -86,14 +91,8 @@ class ProtoStack {
   /// The driver this stack sits on (e.g. for tx-completion watermarks).
   [[nodiscard]] host::OsirisDriver& driver() { return *drv_; }
 
-  /// Writes `bytes` at `va` as CPU stores — through the data cache — so a
-  /// cached copy of a previous occupant never goes stale. Reused transmit
-  /// slots (header/frame arenas) MUST be filled this way: a raw physical
-  /// write leaves old bytes in the cache, and a later checksum computed
-  /// through the cache then disagrees with what the board DMAs from
-  /// memory.
-  void write_through(mem::AddressSpace& space, mem::VirtAddr va,
-                     std::span<const std::uint8_t> bytes);
+  /// The sending CPU's data cache (transmit slots are filled through it).
+  [[nodiscard]] mem::DataCache& cache() { return *cache_; }
 
   // Statistics.
   [[nodiscard]] const sim::Summary& buffers_per_pdu() const { return bufs_per_pdu_; }
@@ -101,8 +100,6 @@ class ProtoStack {
   [[nodiscard]] std::uint64_t checksum_failures() const { return cksum_failures_; }
   [[nodiscard]] std::uint64_t stale_recoveries() const { return stale_recoveries_; }
   [[nodiscard]] std::uint64_t reassembly_drops() const { return reassembly_drops_; }
-  /// Partially reassembled messages abandoned by an adaptor reset.
-  [[nodiscard]] std::uint64_t reset_drops() const { return reset_drops_; }
 
  private:
   struct Fragment {
@@ -121,8 +118,8 @@ class ProtoStack {
   sim::Tick deliver_udp(sim::Tick at, atm::Vci vci, Reassembly&& r);
   sim::Tick checksum_cost(sim::Tick at, const mem::AccessCost& c,
                           std::uint64_t bytes);
-  /// Prepends a header, via the arena when configured and otherwise via
-  /// a recycled buffer from the header pool of the message's space.
+  /// Prepends a header in a slot of the header pool of the message's
+  /// space (its arena, when it was given one).
   void add_header(Message& m, std::span<const std::uint8_t> bytes);
 
   sim::Engine* eng_;
@@ -136,24 +133,15 @@ class ProtoStack {
   int reset_hook_token_ = -1;
   std::uint16_t next_ip_id_ = 1;
   std::map<std::uint64_t, Reassembly> reasm_;  // (vci<<32|ip_id)
-  mem::AddressSpace* hdr_space_ = nullptr;
-  std::vector<mem::VirtAddr> hdr_slots_;
-  std::size_t next_hdr_ = 0;
-  // Without an arena, headers go in buffers recycled at transmit
-  // completion (TxSlots), one pool per address space, grown on demand.
-  // Buffers taken by the send in progress stay held until it returns.
-  struct HeaderPool {
-    mem::AddressSpace* space;
-    TxSlots bufs;
-  };
-  std::vector<HeaderPool> hdr_pools_;
+  // Header buffers, one TxSlots pool per address space, grown on demand.
+  std::vector<std::unique_ptr<TxSlots>> hdr_pools_;
+  TxSlots* arena_ = nullptr;  // the pool use_header_arena() created
 
   sim::Summary bufs_per_pdu_;
   std::uint64_t delivered_ = 0;
   std::uint64_t cksum_failures_ = 0;
   std::uint64_t stale_recoveries_ = 0;
   std::uint64_t reassembly_drops_ = 0;
-  std::uint64_t reset_drops_ = 0;
 };
 
 }  // namespace osiris::proto

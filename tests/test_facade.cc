@@ -240,5 +240,30 @@ TEST(Rpc, LargePayloadsFragmentAndReturn) {
   EXPECT_EQ(got_len, 80000u);
 }
 
+TEST(Rpc, BackToBackCallsNeverRewriteInFlightFrames) {
+  // 200 calls of 4000 B issued back to back keep more frames in flight
+  // than the 63-descriptor transmit queue holds: the rest park on the full
+  // queue, still referencing their frame slots. A slot reused before the
+  // board has sent it puts torn bytes on the wire, which the server's
+  // checksum rejects and the call times out.
+  RpcNet net;
+  net.server->serve([](std::vector<std::uint8_t> req) { return req; });
+  int ok = 0;
+  sim::Tick t = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::uint8_t> req(4000, static_cast<std::uint8_t>(i));
+    t = net.client->call(
+        t, net.vci, req,
+        [&ok, req](sim::Tick, std::optional<std::vector<std::uint8_t>> r) {
+          if (r && *r == req) ++ok;
+        });
+  }
+  net.tb.run();
+  EXPECT_EQ(net.server->served(), 200u);
+  EXPECT_EQ(ok, 200);
+  EXPECT_EQ(net.sb->checksum_failures(), 0u);
+  EXPECT_EQ(net.sa->checksum_failures(), 0u);
+}
+
 }  // namespace
 }  // namespace osiris

@@ -48,7 +48,7 @@ TEST(PhysicalMemory, BoundsChecked) {
   EXPECT_THROW(pm.read(4090, buf), std::out_of_range);
   EXPECT_THROW(pm.write(4096, buf), std::out_of_range);
   EXPECT_NO_THROW(pm.read(4086, buf));
-  EXPECT_THROW(pm.byte(4096), std::out_of_range);
+  EXPECT_THROW((void)pm.byte(4096), std::out_of_range);
   EXPECT_THROW((void)pm.view(4090, 10), std::out_of_range);
   EXPECT_THROW((void)pm.view_mut(4096, 1), std::out_of_range);
   EXPECT_NO_THROW((void)pm.view(0, 4096));
@@ -314,7 +314,7 @@ TEST(AddressSpace, UnmappedTranslateThrows) {
   PhysicalMemory pm(1 << 20);
   FrameAllocator fa(1 << 20);
   AddressSpace as(pm, fa, "t");
-  EXPECT_THROW(as.translate(0x100), std::out_of_range);
+  EXPECT_THROW((void)as.translate(0x100), std::out_of_range);
   EXPECT_FALSE(as.mapped(0x100));
 }
 

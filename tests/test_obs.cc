@@ -349,6 +349,8 @@ TEST(Audit, NodeStatsRegistryRendersWholeNode) {
   EXPECT_GT(a_sent, 0.0);
   EXPECT_GT(b_received, 0.0);
   EXPECT_NE(s.to_json().find("a.tx.pdus_sent"), std::string::npos);
+  EXPECT_NE(s.to_json().find("a.fault.crc_failures"), std::string::npos);
+  EXPECT_NE(s.to_json().find("b.fault.resyncs_observed"), std::string::npos);
 }
 
 }  // namespace
