@@ -89,9 +89,11 @@ std::size_t QuadRouter::queued() const {
   return n;
 }
 
-void QuadRouter::place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
-                            std::uint32_t seq, std::vector<Placement>& place,
+void QuadRouter::place_next(int lane, const Cell& c, std::vector<Placement>& place,
                             std::vector<Completion>& done) {
+  Lane& l = lanes_[lane];
+  const std::uint64_t pdu_idx = l.pdu;
+  const std::uint32_t seq = l.in_lane * kLanes + static_cast<std::uint32_t>(lane);
   Pdu& p = pdu_state(pdu_idx);
   ++p.received;
 
@@ -119,7 +121,6 @@ void QuadRouter::place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
   }
 
   // Advance this lane past the portion if it just ended.
-  Lane& l = lanes_[lane];
   if (c.lane_eom()) {
     l.pdu = pdu_idx + 1;
     l.in_lane = 0;
@@ -140,6 +141,20 @@ void QuadRouter::place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
   }
 }
 
+QuadRouter::Verdict QuadRouter::decide(int lane) {
+  const Lane& l = lanes_[lane];
+  // Mid-portion: unambiguous continuation of the current PDU. Lane 0:
+  // every PDU has a lane-0 cell, so it is always attributable.
+  if (l.in_lane > 0 || lane == 0) return Verdict::kPlace;
+  // Portion start: the cell is the first lane-`lane` cell of l.pdu only if
+  // l.pdu provably has one; skip l.pdu if it provably lacks one; otherwise
+  // wait for more information.
+  const Pdu& p = pdu_state(l.pdu);
+  if (p.min_cells > static_cast<std::uint32_t>(lane)) return Verdict::kPlace;
+  if (p.max_cells <= static_cast<std::uint32_t>(lane)) return Verdict::kSkip;
+  return Verdict::kWait;
+}
+
 void QuadRouter::drain(std::vector<Placement>& place, std::vector<Completion>& done) {
   bool progress = true;
   while (progress) {
@@ -147,40 +162,16 @@ void QuadRouter::drain(std::vector<Placement>& place, std::vector<Completion>& d
     for (int lane = 0; lane < kLanes; ++lane) {
       Lane& l = lanes_[lane];
       while (!l.queue.empty()) {
-        const Cell head = l.queue.front();
-        if (l.in_lane > 0) {
-          // Mid-portion: unambiguous continuation of the current PDU.
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu,
-                     l.in_lane * kLanes + static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-          continue;
-        }
-        // Portion start: the head is the first lane-`lane` cell of l.pdu
-        // only if l.pdu provably has one; skip l.pdu if it provably lacks
-        // one; otherwise wait for more information.
-        if (lane == 0) {
-          // Every PDU has a lane-0 cell; always attributable.
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu, static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-          continue;
-        }
-        const Pdu& p = pdu_state(l.pdu);
-        if (p.min_cells > static_cast<std::uint32_t>(lane)) {
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu, static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-        } else if (p.max_cells <= static_cast<std::uint32_t>(lane)) {
-          // l.pdu has no cell on this lane; try the next PDU.
+        const Verdict v = decide(lane);
+        if (v == Verdict::kWait) break;  // wait for bounds to tighten
+        progress = true;
+        if (v == Verdict::kSkip) {
           ++l.pdu;
-          progress = true;
-        } else {
-          break;  // ambiguous; wait for bounds to tighten
+          continue;
         }
+        const Cell head = l.queue.front();
+        l.queue.pop_front();
+        place_next(lane, head, place, done);
       }
     }
   }
@@ -216,8 +207,22 @@ void QuadRouter::on_cell(int lane, const Cell& c, std::vector<Placement>& place,
   if (lane < 0 || lane >= kLanes) {
     throw std::invalid_argument("QuadRouter: bad lane " + std::to_string(lane));
   }
-  lanes_[lane].queue.push_back(c);
-  drain(place, done);
+  Lane& l = lanes_[lane];
+  if (queued() != 0) {
+    l.queue.push_back(c);
+    drain(place, done);
+    return;
+  }
+  // Nothing is queued, so no placement can unblock another lane: the
+  // arriving cell's own attribution is all drain() would do. In-order
+  // arrival always takes this path.
+  Verdict v = decide(lane);
+  for (; v == Verdict::kSkip; v = decide(lane)) ++l.pdu;
+  if (v == Verdict::kPlace) {
+    place_next(lane, c, place, done);
+  } else {
+    l.queue.push_back(c);
+  }
 }
 
 std::unique_ptr<CellRouter> make_router(const char* strategy) {

@@ -133,9 +133,15 @@ class QuadRouter final : public CellRouter {
     std::uint32_t in_lane = 0;  // cells delivered for that PDU on this lane
   };
 
+  /// What `lane`'s next cell (queued or arriving) does: it is the lane's
+  /// next cell of its current PDU, the current PDU has no cell on the lane
+  /// and the lane moves to the next one, or the bounds cannot tell yet.
+  enum class Verdict { kPlace, kSkip, kWait };
+
   Pdu& pdu_state(std::uint64_t idx);
-  void place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
-                  std::uint32_t seq, std::vector<Placement>& place,
+  Verdict decide(int lane);
+  /// Places `c` as `lane`'s next cell of its current PDU.
+  void place_next(int lane, const Cell& c, std::vector<Placement>& place,
                   std::vector<Completion>& done);
   /// Attempts to drain lane queues until no further attribution is possible.
   void drain(std::vector<Placement>& place, std::vector<Completion>& done);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "atm/sar.h"
 
@@ -297,13 +298,20 @@ void RxProcessor::accept_cell(int lane, const atm::Cell& c) {
     sim::trace_event(trace_, eng_->now(), "rx", "sar_drop", c.vci, c.seq);
     return;
   }
-  std::vector<atm::Placement> places;
-  std::vector<atm::Completion> dones;
+  // The scratch vectors are taken for the duration of the call, so a
+  // nested accept_cell would start from empty ones rather than clobber
+  // these; handing them back keeps their capacity for the next cell.
+  std::vector<atm::Placement> places = std::move(places_scratch_);
+  std::vector<atm::Completion> dones = std::move(dones_scratch_);
+  places.clear();
+  dones.clear();
   // The router object is heap-owned, so this reference stays valid even
   // if flow-table inserts below move the VciState slab.
   router_for(*st).on_cell(lane, c, places, dones);
   for (const auto& pl : places) handle_placement(c.vci, pl);
   for (const auto& dn : dones) handle_completion(c.vci, dn);
+  places_scratch_ = std::move(places);
+  dones_scratch_ = std::move(dones);
 }
 
 RxProcessor::RxPdu* RxProcessor::pdu_for(atm::Vci vci, std::uint64_t pdu,

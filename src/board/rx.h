@@ -388,6 +388,8 @@ class RxProcessor {
   std::vector<dpram::Descriptor> descs_firing_;  // scratch for fire_push_batch
   sim::TimerHandle flush_timer_;  // combine-window timeout for pending_
   std::vector<mem::PhysBuffer> scratch_segs_;  // per-DMA scatter program
+  std::vector<atm::Placement> places_scratch_;  // router output, per cell
+  std::vector<atm::Completion> dones_scratch_;
   std::deque<sim::Tick> inflight_;  // decision completion times (FIFO model)
   sim::Tick fw_horizon_ = 0;
 

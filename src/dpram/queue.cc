@@ -46,8 +46,8 @@ OpResult QueueWriter::push(const Descriptor& d) {
   ++r.ram_accesses;
   if ((head_ + 1) % lay_.capacity == tail) return r;  // full
   Descriptor sealed = d;
-  sealed.flags = static_cast<std::uint16_t>(
-      (sealed.flags & ~kDescLapSeal) | (lap_odd_ ? 0u : kDescLapSeal));
+  sealed.flags = static_cast<std::uint16_t>(sealed.flags & ~kDescLapSeal);
+  if (!lap_odd_) sealed.flags |= kDescLapSeal;
   write_descriptor(*ram_, side_, lay_, head_, sealed);
   ram_->maybe_corrupt(side_, lay_.slot_word(head_), kDescriptorWords);
   r.ram_accesses += kDescriptorWords;

@@ -9,9 +9,16 @@
 // through this model after a non-coherent DMA write returns the old bytes,
 // UDP checksums over them actually fail, and the lazy-invalidation recovery
 // path in the driver is genuinely exercised.
+//
+// Lines are stored flat: one vector holds every line's {valid, tag}, and
+// one block holds every line's bytes (line i at offset i * line_bytes),
+// so a probe is an index computation, not a pointer chase. The block is
+// allocated without zero-fill; a line's bytes are only read while it is
+// valid, and a line becomes valid only by being filled from memory.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -95,7 +102,6 @@ class DataCache {
   struct Line {
     bool valid = false;
     std::uint32_t tag = 0;
-    std::vector<std::uint8_t> data;
   };
 
   [[nodiscard]] std::uint32_t index_of(PhysAddr addr) const {
@@ -104,10 +110,21 @@ class DataCache {
   [[nodiscard]] std::uint32_t tag_of(PhysAddr addr) const {
     return addr / cfg_.line_bytes / static_cast<std::uint32_t>(lines_.size());
   }
+  /// True if the line at `base`'s index holds `base`'s line.
+  [[nodiscard]] bool hits(PhysAddr base) const {
+    const Line& line = lines_[index_of(base)];
+    return line.valid && line.tag == tag_of(base);
+  }
+  /// Bytes of line `idx`.
+  [[nodiscard]] std::span<std::uint8_t> data_of(std::uint32_t idx) const {
+    return {data_.get() + static_cast<std::size_t>(idx) * cfg_.line_bytes,
+            cfg_.line_bytes};
+  }
 
   PhysicalMemory* pm_;
   CacheConfig cfg_;
   std::vector<Line> lines_;
+  std::unique_ptr<std::uint8_t[]> data_;  // lines_.size() * line_bytes
   std::uint64_t stale_reads_ = 0;      // CPU reads that returned stale bytes
   std::uint64_t dma_stale_lines_ = 0;  // lines made stale by DMA writes
 };

@@ -233,7 +233,7 @@ TEST(Rpc, LargePayloadsFragmentAndReturn) {
   });
   std::size_t got_len = 0;
   net.client->call(0, net.vci, std::vector<std::uint8_t>(40000, 3),
-                   [&](sim::Tick, std::optional<std::vector<std::uint8_t>> r) {
+                   [&](sim::Tick, const std::optional<std::vector<std::uint8_t>>& r) {
                      if (r) got_len = r->size();
                    });
   net.tb.run();

@@ -599,6 +599,84 @@ TEST(Arq, InOrderExactlyOnceUnderCellLoss) {
   EXPECT_EQ(arq_b.misrouted(), 0u);
 }
 
+TEST(Rpc, OverArqServesEveryCallExactlyOnceUnderCellLoss) {
+  // RpcEndpoint::use_arq on a 3000/600 pair whose links both lose cells:
+  // requests and responses ride the ARQ channel, whose retransmissions
+  // alone (no RPC-level retries) must get every call served exactly once
+  // and answered with its own response.
+  auto lossy = [](std::uint64_t seed) {
+    NodeConfig c = make_3000_600_config();
+    c.board.reassembly = "seq";
+    c.link.cell_loss_p = 0.02;
+    c.link.seed = seed;
+    return c;
+  };
+  Testbed tb(lossy(7), lossy(11));
+  const atm::Vci vci = tb.open_kernel_path();
+  proto::StackConfig sc;
+  sc.udp_checksum = true;
+  auto sa = tb.a.make_stack(sc);
+  auto sb = tb.b.make_stack(sc);
+  proto::ArqConfig ac;
+  ac.window = 8;
+  ac.rto = sim::us(500);
+  ac.max_rto = sim::ms(5);
+  ac.max_retries = 20;
+  proto::ArqEndpoint arq_a(tb.a.eng, *sa, tb.a.kernel_space, tb.a.cpu,
+                           tb.a.cfg.machine, ac);
+  proto::ArqEndpoint arq_b(tb.b.eng, *sb, tb.b.kernel_space, tb.b.cpu,
+                           tb.b.cfg.machine, ac);
+  arq_a.bind(vci);
+  arq_b.bind(vci);
+  proto::RpcEndpoint client(tb.a.eng, *sa, tb.a.kernel_space, tb.a.cpu,
+                            tb.a.cfg.machine);
+  proto::RpcEndpoint server(tb.b.eng, *sb, tb.b.kernel_space, tb.b.cpu,
+                            tb.b.cfg.machine);
+  client.use_arq(arq_a);
+  server.use_arq(arq_b);
+
+  constexpr std::uint32_t kCalls = 60;
+  constexpr std::size_t kBytes = 300;
+  std::map<std::uint32_t, int> served;  // request tag -> times served
+  server.serve([&](std::vector<std::uint8_t> req) {
+    ++served[tag_of(req)];
+    std::reverse(req.begin(), req.end());
+    return req;
+  });
+  std::vector<int> answered(kCalls, 0);
+  std::uint32_t wrong = 0;
+  sim::Tick t = 0;
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    t = client.call(
+        t, vci, tagged(kBytes, i),
+        [&answered, &wrong, i](sim::Tick,
+                               const std::optional<std::vector<std::uint8_t>>& r) {
+          ++answered[i];
+          std::vector<std::uint8_t> want = tagged(kBytes, i);
+          std::reverse(want.begin(), want.end());
+          if (!r || *r != want) ++wrong;
+        },
+        /*timeout=*/sim::sec(1));
+  }
+  tb.run();
+
+  EXPECT_EQ(wrong, 0u);
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(answered[i], 1) << "call " << i;
+    EXPECT_EQ(served[i], 1) << "call " << i;
+  }
+  EXPECT_EQ(served.size(), kCalls);
+  EXPECT_EQ(client.responses(), kCalls);
+  EXPECT_EQ(client.timeouts(), 0u);
+  EXPECT_EQ(client.stray(), 0u);
+  EXPECT_EQ(server.served(), kCalls);
+  // Both directions lost cells and the ARQ repaired it.
+  EXPECT_GT(arq_a.retransmissions(), 0u);
+  EXPECT_GT(arq_b.retransmissions(), 0u);
+  EXPECT_TRUE(arq_a.idle());
+  EXPECT_TRUE(arq_b.idle());
+}
+
 TEST(Arq, GiveUpIsTerminalWhenPeerUnreachable) {
   FaultNet net(/*faults_on_b=*/false, /*a_cell_loss=*/1.0);
   proto::ArqConfig ac;

@@ -6,8 +6,11 @@
 // reassemble correctly under ANY such interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "atm/reassembly.h"
 #include "atm/sar.h"
@@ -105,6 +108,182 @@ void expect_same_multiset(std::vector<std::vector<std::uint8_t>> got,
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);
+}
+
+// The QuadRouter as it was before its direct path for in-order arrival:
+// every cell is queued on its lane, then drain() attributes queued cells
+// until no lane can progress. The differential test below holds the
+// router to this reference, placement by placement.
+class QueueAllQuadRouter final : public CellRouter {
+ public:
+  void on_cell(int lane, const Cell& c, std::vector<Placement>& place,
+               std::vector<Completion>& done) override {
+    lanes_[lane].queue.push_back(c);
+    drain(place, done);
+  }
+  [[nodiscard]] const char* name() const override { return "quad-ref"; }
+  [[nodiscard]] std::size_t inflight() const override {
+    return static_cast<std::size_t>(std::count_if(
+        ring_.begin(), ring_.end(),
+        [](const Pdu& p) { return !p.completed && p.received > 0; }));
+  }
+  std::uint64_t purge() override {
+    std::uint64_t abandoned = 0;
+    for (const Pdu& p : ring_) {
+      if (!p.completed && p.received > 0) {
+        ++abandoned;
+        dropped_ += p.received;
+      }
+    }
+    std::uint64_t next = 0;
+    for (const Lane& l : lanes_) next = std::max(next, l.pdu);
+    if (!ring_.empty()) next = std::max(next, base_ + ring_.size() - 1);
+    ++next;
+    for (Lane& l : lanes_) {
+      dropped_ += l.queue.size();
+      l.queue.clear();
+      l.pdu = next;
+      l.in_lane = 0;
+    }
+    ring_.clear();
+    base_ = next;
+    return abandoned;
+  }
+  [[nodiscard]] std::size_t queued() const {
+    std::size_t n = 0;
+    for (const Lane& l : lanes_) n += l.queue.size();
+    return n;
+  }
+
+ private:
+  struct Pdu {
+    std::uint32_t received = 0;
+    std::uint32_t ncells = 0;
+    std::uint32_t min_cells = 1;
+    std::uint32_t max_cells = ~0u;
+    std::uint32_t wire_bytes = 0;
+    bool completed = false;
+  };
+  struct Lane {
+    std::deque<Cell> queue;
+    std::uint64_t pdu = 0;
+    std::uint32_t in_lane = 0;
+  };
+
+  Pdu& pdu_state(std::uint64_t idx) {
+    while (idx - base_ >= ring_.size()) ring_.emplace_back();
+    return ring_[idx - base_];
+  }
+
+  void place_cell(int lane, const Cell& c, std::uint64_t pdu_idx, std::uint32_t seq,
+                  std::vector<Placement>& place, std::vector<Completion>& done) {
+    Pdu& p = pdu_state(pdu_idx);
+    ++p.received;
+    p.min_cells = std::max(p.min_cells, seq + 1);
+    if (c.last_cell()) {
+      p.ncells = seq + 1;
+      p.min_cells = std::max(p.min_cells, p.ncells);
+      p.max_cells = std::min(p.max_cells, p.ncells);
+      p.wire_bytes = seq * kCellPayload + c.len;
+    } else {
+      p.min_cells = std::max(p.min_cells, seq + 2);
+    }
+    if (c.lane_eom()) {
+      p.max_cells = std::min(p.max_cells, seq + kLanes);
+    } else {
+      p.min_cells = std::max(p.min_cells, seq + kLanes + 1);
+    }
+    place.push_back({pdu_idx, seq * kCellPayload, c});
+    if (p.ncells != 0 && p.received == p.ncells) {
+      done.push_back({pdu_idx, p.wire_bytes});
+      p.completed = true;
+    }
+    Lane& l = lanes_[lane];
+    if (c.lane_eom()) {
+      l.pdu = pdu_idx + 1;
+      l.in_lane = 0;
+    } else {
+      l.in_lane = seq / kLanes + 1;
+    }
+    while (!ring_.empty() && ring_.front().completed &&
+           std::none_of(std::begin(lanes_), std::end(lanes_),
+                        [this](const Lane& ln) { return ln.pdu <= base_; })) {
+      ring_.pop_front();
+      ++base_;
+    }
+  }
+
+  void drain(std::vector<Placement>& place, std::vector<Completion>& done) {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (int lane = 0; lane < kLanes; ++lane) {
+        Lane& l = lanes_[lane];
+        const auto ul = static_cast<std::uint32_t>(lane);
+        while (!l.queue.empty()) {
+          const Cell head = l.queue.front();
+          if (l.in_lane > 0 || lane == 0 || pdu_state(l.pdu).min_cells > ul) {
+            l.queue.pop_front();
+            place_cell(lane, head, l.pdu, l.in_lane * kLanes + ul, place, done);
+            progress = true;
+          } else if (pdu_state(l.pdu).max_cells <= ul) {
+            ++l.pdu;
+            progress = true;
+          } else {
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  std::deque<Pdu> ring_;
+  std::uint64_t base_ = 0;
+  Lane lanes_[kLanes];
+};
+
+/// Feeds `cells` to the router and to the queue-everything reference and
+/// requires the same placements (PDU key, offset, cell bytes) and the same
+/// completions after every cell. With `purge_at` < cells.size(), both are
+/// purged before that cell and must abandon and drop the same state.
+void expect_matches_reference(const std::vector<LanedCell>& cells,
+                              std::size_t purge_at, const std::string& what) {
+  QuadRouter r;
+  QueueAllQuadRouter ref;
+  std::vector<Placement> pl, ref_pl;
+  std::vector<Completion> dn, ref_dn;
+  std::size_t placed = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string at = what + ", cell " + std::to_string(i);
+    if (i == purge_at) {
+      ASSERT_EQ(r.purge(), ref.purge()) << at;
+      ASSERT_EQ(r.dropped(), ref.dropped()) << at;
+    }
+    pl.clear();
+    ref_pl.clear();
+    dn.clear();
+    ref_dn.clear();
+    r.on_cell(cells[i].lane, cells[i].cell, pl, dn);
+    ref.on_cell(cells[i].lane, cells[i].cell, ref_pl, ref_dn);
+    ASSERT_EQ(pl.size(), ref_pl.size()) << at;
+    for (std::size_t k = 0; k < pl.size(); ++k) {
+      ASSERT_EQ(pl[k].pdu, ref_pl[k].pdu) << at;
+      ASSERT_EQ(pl[k].offset, ref_pl[k].offset) << at;
+      ASSERT_EQ(pl[k].cell.len, ref_pl[k].cell.len) << at;
+      ASSERT_EQ(pl[k].cell.flags, ref_pl[k].cell.flags) << at;
+      ASSERT_EQ(pl[k].cell.payload, ref_pl[k].cell.payload) << at;
+    }
+    ASSERT_EQ(dn.size(), ref_dn.size()) << at;
+    for (std::size_t k = 0; k < dn.size(); ++k) {
+      ASSERT_EQ(dn[k].pdu, ref_dn[k].pdu) << at;
+      ASSERT_EQ(dn[k].wire_bytes, ref_dn[k].wire_bytes) << at;
+    }
+    ASSERT_EQ(r.queued(), ref.queued()) << at;
+    ASSERT_EQ(r.inflight(), ref.inflight()) << at;
+    placed += pl.size();
+  }
+  EXPECT_EQ(r.dropped(), ref.dropped()) << what;
+  EXPECT_GT(placed, 0u) << what;
 }
 
 class RouterParamTest : public ::testing::TestWithParam<const char*> {};
@@ -315,6 +494,42 @@ TEST(QuadRouter, ShortPduSkippedOnHigherLanesViaExactCount) {
   ASSERT_EQ(dn.size(), 2u);
   EXPECT_EQ(dn[1].wire_bytes, 208u);
   EXPECT_EQ(r.inflight(), 0u);
+}
+
+TEST(QuadRouter, DirectPathMatchesQueueEverythingReference) {
+  // In order: every cell takes the direct path.
+  std::vector<std::vector<std::uint8_t>> pdus;
+  for (std::uint32_t i = 0; i < 24; ++i) pdus.push_back(pattern(1 + i * 389 % 4000, i));
+  const auto lanes = stripe(pdus);
+  std::vector<LanedCell> in_order;
+  std::uint16_t pdu_id = 0;
+  for (const auto& p : pdus) {
+    for (const Cell& c : segment(p, /*vci=*/7, pdu_id)) {
+      in_order.push_back({static_cast<int>(c.seq % kLanes), c});
+    }
+    ++pdu_id;
+  }
+  expect_matches_reference(in_order, in_order.size(), "in order");
+  expect_matches_reference(in_order, in_order.size() / 2, "in order, purged");
+  // Skewed: cells queue, and the direct path must defer to drain().
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto cells = random_merge(lanes, seed);
+    const std::string what = "skew seed " + std::to_string(seed);
+    expect_matches_reference(cells, cells.size(), what);
+    expect_matches_reference(cells, cells.size() / 3, what + ", purged");
+  }
+  // Short PDUs of 1..5 cells: higher lanes skip PDUs by bounds.
+  std::vector<std::vector<std::uint8_t>> shorts;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    shorts.push_back(pattern((i % 5) * kCellPayload + 10, i));
+  }
+  const auto short_lanes = stripe(shorts);
+  for (std::uint64_t seed = 100; seed < 130; ++seed) {
+    const auto cells = random_merge(short_lanes, seed);
+    const std::string what = "short seed " + std::to_string(seed);
+    expect_matches_reference(cells, cells.size(), what);
+    expect_matches_reference(cells, cells.size() / 2, what + ", purged");
+  }
 }
 
 TEST(QuadRouter, QueuedCellsAwaitAttribution) {

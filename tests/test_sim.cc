@@ -209,6 +209,64 @@ TEST(Resource, FlatCalendarMatchesMapCalendar) {
   EXPECT_GT(r.wait_total(), 0u);  // requests really did queue and backfill
 }
 
+// One booking on both calendars, compared result by result.
+void book_both(Resource& r, MapCalendar& ref, Tick from, Duration hold) {
+  EXPECT_EQ(r.reserve_at(from, hold), ref.reserve_at(from, hold))
+      << "from " << from << " hold " << hold;
+  EXPECT_EQ(r.busy_total(), ref.busy_total);
+  EXPECT_EQ(r.wait_total(), ref.wait_total);
+  EXPECT_EQ(r.free_at(), ref.busy_until);
+  EXPECT_EQ(r.reservations(), ref.reservations);
+}
+
+TEST(Resource, SaturatedCalendarMatchesMapCalendar) {
+  // The receive path's shape: a saturated bus booked back to back from
+  // one `from`, which the flat calendar coalesces into one busy block.
+  // Between those runs, islands of bookings leave gaps of 1..6 ticks, and
+  // short requests fill a gap exactly (joining the blocks on both sides),
+  // fill only its tail (joining the block after), or are one tick too long
+  // for it and must skip it. The map reference keeps every booking as its
+  // own interval.
+  Engine eng;
+  Resource r(eng, "bus");
+  MapCalendar ref(eng);
+  Rng rng(7);
+  for (int round = 0; round < 40 && !HasFailure(); ++round) {
+    const Tick from = eng.now() + 10;
+    for (int i = 0; i < 300; ++i) book_both(r, ref, from, 1 + rng.below(8));
+
+    struct Gap {
+      Tick block;  // start of the island before the gap
+      Tick start;
+      Duration len;
+    };
+    std::vector<Gap> gaps;
+    Tick pos = r.free_at() + 50;
+    for (int k = 0; k < 40; ++k) {
+      const Duration len = 3 + rng.below(18);
+      const Duration gap = 1 + rng.below(6);
+      book_both(r, ref, pos, len);
+      gaps.push_back({pos, pos + len, gap});
+      pos += len + gap;
+    }
+    for (const Gap& g : gaps) {
+      switch (rng.below(4)) {
+        case 0: break;  // leave the gap open
+        case 1: book_both(r, ref, g.block, g.len); break;
+        case 2: book_both(r, ref, g.block, g.len + 1); break;
+        default:
+          if (g.len > 1) book_both(r, ref, g.start + 1, g.len - 1);
+      }
+    }
+    for (int i = 0; i < 100; ++i) book_both(r, ref, from, 1 + rng.below(4));
+
+    // Advance past part of what was booked so prune() drops blocks.
+    eng.schedule_at(eng.now() + rng.below(r.free_at() - eng.now()), [] {});
+    eng.run();
+  }
+  EXPECT_GT(r.wait_total(), 0u);
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
