@@ -26,12 +26,14 @@ echo "== bench smoke (machine-readable output) =="
   && ./bench_chaos >/dev/null \
   && ./bench_demux >/dev/null \
   && ./bench_table1_latency >/dev/null \
-  && ./bench_fig2_receive_5000 >/dev/null )
+  && ./bench_fig2_receive_5000 >/dev/null \
+  && ./bench_fig4_transmit >/dev/null )
 for f in build/bench/BENCH_fault.json build/bench/BENCH_adc_isolation.json \
          build/bench/BENCH_qos.json build/bench/BENCH_chaos.json \
          build/bench/BENCH_demux.json \
          build/bench/BENCH_table1_latency.json \
-         build/bench/BENCH_fig2_receive_5000.json; do
+         build/bench/BENCH_fig2_receive_5000.json \
+         build/bench/BENCH_fig4_transmit.json; do
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
 
@@ -54,7 +56,7 @@ echo "== perf trend table + per-bench floors =="
 # are visible in a single CI artifact.
 # --floors then gates on bench/floors.tsv: engine events/sec (perf floor,
 # skipped under OSIRIS_SANITIZE), the whole-system events/sec floors of
-# Table 1 and Figure 2 and the chaos scenarios/sec floor (perf, likewise
+# Table 1, Figure 2 and Figure 4 and the chaos scenarios/sec floor (perf, likewise
 # skipped), the demux flow-table gates (single-probe
 # speedup floor plus ns/cell and flatness ceilings), the QoS quality
 # floors — 10x-incast Jain fairness and aggregate-goodput retention —

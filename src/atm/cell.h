@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 
@@ -81,7 +82,7 @@ struct Cell {
   std::array<std::uint8_t, kCellPayload> payload{};
 
   // Observability sidecar (simulation metadata, NOT wire bytes): excluded
-  // from serialize_header()/encode_cell() and therefore from the HEC and
+  // from header_check()/encode_cell() and therefore from the HEC and
   // from link bandwidth accounting.  Both are simulated ticks, so they are
   // deterministic across serial and parallel runs.
   std::uint64_t t_origin = 0;  // sender driver-enqueue tick (0 = unstamped)
@@ -92,12 +93,24 @@ struct Cell {
   [[nodiscard]] bool last_cell() const { return (flags & kFlagLastCell) != 0; }
 };
 
-/// Serializes the header fields (excluding hec) for HEC computation.
-std::array<std::uint8_t, 9> serialize_header(const Cell& c);
-
 /// 8-bit header checksum (stand-in for ATM HEC). A cell whose header was
 /// corrupted in flight fails this check and is dropped by the receiver.
-std::uint8_t header_check(const Cell& c);
+///
+/// Defined as a serial xor-rotate over the nine header bytes
+/// b0..b8 = vci (3, big-endian), pdu_id (2), seq (2), flags, len:
+/// h = 0x5A, then h = rotl(h, 1) ^ b for each byte. Rotation distributes
+/// over xor, so byte i ends up rotated left 8 - i times (right i times)
+/// and the seed nine times; the terms are independent, so they are
+/// computed side by side instead of as a nine-step chain.
+constexpr std::uint8_t header_check(const Cell& c) {
+  const auto byte = [](std::uint32_t v) { return static_cast<std::uint8_t>(v); };
+  return static_cast<std::uint8_t>(
+      std::rotl(std::uint8_t{0x5A}, 1) ^ byte(c.vci >> 16) ^
+      std::rotr(byte(c.vci >> 8), 1) ^ std::rotr(byte(c.vci), 2) ^
+      std::rotr(byte(c.pdu_id >> 8u), 3) ^ std::rotr(byte(c.pdu_id), 4) ^
+      std::rotr(byte(c.seq >> 8u), 5) ^ std::rotr(byte(c.seq), 6) ^
+      std::rotr(c.flags, 7) ^ c.len);
+}
 
 /// Stamps the header checksum. Called by the transmit firmware.
 inline void seal(Cell& c) { c.hec = header_check(c); }

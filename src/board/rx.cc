@@ -110,13 +110,6 @@ void RxProcessor::remove_channel(int channel_id) {
   }
 }
 
-bool RxProcessor::channel_attached(int channel_id) const {
-  for (const RecvChannel& ch : recv_channels_) {
-    if (ch.channel_id == channel_id && !ch.detached) return true;
-  }
-  return false;
-}
-
 std::uint64_t RxProcessor::channel_buffers(int channel_id) const {
   std::uint64_t n = 0;
   for (const FreeSource& fs : free_sources_) {

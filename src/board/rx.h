@@ -109,9 +109,6 @@ class RxProcessor {
   /// in-flight lambdas remain valid.
   void remove_channel(int channel_id);
 
-  /// True when `channel_id` still has an attached receive channel.
-  [[nodiscard]] bool channel_attached(int channel_id) const;
-
   /// Free-list buffers consumed on behalf of `channel_id` (its receive
   /// traffic's appetite). Feeds the AdcSupervisor's consumption budget.
   [[nodiscard]] std::uint64_t channel_buffers(int channel_id) const;

@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "atm/cell.h"
 #include "fault/fault.h"
+#include "sim/zeroed.h"
 
 namespace osiris::dpram {
 
@@ -32,7 +32,7 @@ enum class Side { kHost, kBoard };
 
 class DualPortRam {
  public:
-  DualPortRam() : words_(kDpramWords, 0), prev_words_(kDpramWords, 0) {}
+  DualPortRam() : words_(kDpramWords), prev_words_(kDpramWords) {}
 
   std::uint32_t read(Side side, std::uint32_t word_index) const;
   void write(Side side, std::uint32_t word_index, std::uint32_t value);
@@ -55,8 +55,8 @@ class DualPortRam {
   void reset_stats() { host_accesses_ = board_accesses_ = 0; }
 
  private:
-  std::vector<std::uint32_t> words_;
-  std::vector<std::uint32_t> prev_words_;  // pre-write values, for kDpramStale
+  sim::ZeroedArray<std::uint32_t> words_;
+  sim::ZeroedArray<std::uint32_t> prev_words_;  // pre-write values, for kDpramStale
   fault::FaultPlane* faults_ = nullptr;
   mutable std::uint64_t host_accesses_ = 0;
   mutable std::uint64_t board_accesses_ = 0;

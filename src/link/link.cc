@@ -18,10 +18,6 @@ StripedLink::StripedLink(sim::Engine& eng, LinkConfig cfg)
   lane_last_arrival_.fill(0);
 }
 
-sim::Tick StripedLink::next_lane_free_at() const {
-  return lane_busy_until_[next_lane_];
-}
-
 sim::Tick StripedLink::submit(sim::Tick from, const atm::Cell& c) {
   if (c.bom()) next_lane_ = 0;  // each PDU restarts the stripe rotation
   const int lane = next_lane_;

@@ -89,9 +89,6 @@ class StripedLink {
   /// used by the transmit firmware for pacing.
   sim::Tick submit(sim::Tick from, const atm::Cell& c);
 
-  /// Earliest time the lane the *next* cell would use becomes free.
-  [[nodiscard]] sim::Tick next_lane_free_at() const;
-
   [[nodiscard]] std::uint64_t cells_sent() const { return cells_sent_; }
   [[nodiscard]] std::uint64_t cells_lost() const { return cells_lost_; }
   [[nodiscard]] std::uint64_t cells_corrupted() const { return cells_corrupted_; }

@@ -7,13 +7,20 @@
 
 namespace osiris::mem {
 
-DataCache::DataCache(PhysicalMemory& pm, CacheConfig cfg) : pm_(&pm), cfg_(cfg) {
-  if (cfg_.size_bytes % cfg_.line_bytes != 0) {
+namespace {
+std::uint32_t line_count(const CacheConfig& cfg) {
+  if (cfg.size_bytes % cfg.line_bytes != 0) {
     throw std::invalid_argument("DataCache: size not a multiple of line size");
   }
-  lines_.resize(cfg_.size_bytes / cfg_.line_bytes);
-  data_ = std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.size_bytes);
+  return cfg.size_bytes / cfg.line_bytes;
 }
+}  // namespace
+
+DataCache::DataCache(PhysicalMemory& pm, CacheConfig cfg)
+    : pm_(&pm),
+      cfg_(cfg),
+      lines_(line_count(cfg_)),
+      data_(std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.size_bytes)) {}
 
 AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
   AccessCost cost;

@@ -10,7 +10,8 @@
 // UDP checksums over them actually fail, and the lazy-invalidation recovery
 // path in the driver is genuinely exercised.
 //
-// Lines are stored flat: one vector holds every line's {valid, tag}, and
+// Lines are stored flat: one zero-filled array holds every line's
+// {valid, tag} (its pages are touched only as lines are used), and
 // one block holds every line's bytes (line i at offset i * line_bytes),
 // so a probe is an index computation, not a pointer chase. The block is
 // allocated without zero-fill; a line's bytes are only read while it is
@@ -20,9 +21,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "mem/phys.h"
+#include "sim/zeroed.h"
 
 namespace osiris::mem {
 
@@ -99,9 +100,9 @@ class DataCache {
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Line {
-    bool valid = false;
-    std::uint32_t tag = 0;
+  struct Line {  // zero-filled: invalid, tag 0
+    bool valid;
+    std::uint32_t tag;
   };
 
   [[nodiscard]] std::uint32_t index_of(PhysAddr addr) const {
@@ -123,7 +124,7 @@ class DataCache {
 
   PhysicalMemory* pm_;
   CacheConfig cfg_;
-  std::vector<Line> lines_;
+  sim::ZeroedArray<Line> lines_;
   std::unique_ptr<std::uint8_t[]> data_;  // lines_.size() * line_bytes
   std::uint64_t stale_reads_ = 0;      // CPU reads that returned stale bytes
   std::uint64_t dma_stale_lines_ = 0;  // lines made stale by DMA writes

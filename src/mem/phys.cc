@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -45,11 +44,6 @@ std::uint8_t PhysicalMemory::byte(PhysAddr addr) const {
   return data_[addr];
 }
 
-void PhysicalMemory::set_byte(PhysAddr addr, std::uint8_t v) {
-  check(addr, 1);
-  data_[addr] = v;
-}
-
 bool PhysicalMemory::dma_ok(PhysAddr addr, std::size_t len) {
   if (static_cast<std::size_t>(addr) + len > size_ ||
       fault::fires(faults_, fault::Point::kDmaError)) {
@@ -68,18 +62,6 @@ bool PhysicalMemory::dma_read(PhysAddr addr, std::span<std::uint8_t> dst) {
 bool PhysicalMemory::dma_write(PhysAddr addr, std::span<const std::uint8_t> src) {
   if (!dma_ok(addr, src.size())) return false;
   std::copy(src.begin(), src.end(), data_ + addr);
-  return true;
-}
-
-bool PhysicalMemory::dma_move(PhysAddr dst, PhysAddr src, std::size_t len) {
-  // One transfer, one fault consultation — but both windows must be in
-  // range for the move to start.
-  if (static_cast<std::size_t>(src) + len > size_) {
-    ++dma_errors_;
-    return false;
-  }
-  if (!dma_ok(dst, len)) return false;
-  std::memmove(data_ + dst, data_ + src, len);
   return true;
 }
 

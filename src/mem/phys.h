@@ -47,7 +47,6 @@ class PhysicalMemory {
   void write(PhysAddr addr, std::span<const std::uint8_t> src);
 
   [[nodiscard]] std::uint8_t byte(PhysAddr addr) const;
-  void set_byte(PhysAddr addr, std::uint8_t v);
 
   /// Enables fault injection on the DMA entry points (not owned).
   void set_fault_plane(fault::FaultPlane* plane) { faults_ = plane; }
@@ -59,10 +58,6 @@ class PhysicalMemory {
   /// controller's error bit; the firmware presses on regardless).
   bool dma_read(PhysAddr addr, std::span<std::uint8_t> dst);
   bool dma_write(PhysAddr addr, std::span<const std::uint8_t> src);
-
-  /// memmove-style phys→phys transfer: overlap-safe, same DMA error
-  /// semantics as dma_read/dma_write (one fault-plane consultation).
-  bool dma_move(PhysAddr dst, PhysAddr src, std::size_t len);
 
   /// Scatter/gather transfers used by the DMA engines. Each segment is an
   /// independent DMA burst: faults are consulted and errors counted per

@@ -66,12 +66,10 @@ void PduSpans::rx_delivered(atm::Vci vci, std::uint8_t tag, sim::Tick at) {
     if (vit != vci_e2e_.end()) vit->second.record(dt);
   }
   ++spans_seen_;
-  if (ring_cap_ > 0) {
-    if (ring_.size() >= ring_cap_) {
-      ring_[spans_seen_ % ring_cap_] = Span{vci, tag, e.origin, e.pushed, at};
-    } else {
-      ring_.push_back(Span{vci, tag, e.origin, e.pushed, at});
-    }
+  if (ring_.size() >= kRingCap) {
+    ring_[spans_seen_ % kRingCap] = Span{vci, tag, e.origin, e.pushed, at};
+  } else {
+    ring_.push_back(Span{vci, tag, e.origin, e.pushed, at});
   }
 }
 
@@ -88,11 +86,6 @@ std::vector<PduSpans::Span> PduSpans::completed_spans() const {
     return a.delivered < b.delivered;
   });
   return out;
-}
-
-void PduSpans::set_span_capacity(std::size_t cap) {
-  ring_cap_ = cap;
-  if (ring_.size() > cap) ring_.resize(cap);
 }
 
 void PduSpans::register_into(Registry& reg, const std::string& prefix) const {

@@ -104,7 +104,6 @@ class PduSpans {
   };
   [[nodiscard]] std::vector<Span> completed_spans() const;
   [[nodiscard]] std::uint64_t spans_recorded() const { return spans_seen_; }
-  void set_span_capacity(std::size_t cap);
 
   /// Registers every stage histogram (and per-VCI families) into `reg`
   /// under `prefix` (e.g. "a.span.").  Refs only; `this` must outlive reads.
@@ -125,8 +124,8 @@ class PduSpans {
   };
   std::unordered_map<std::uint64_t, RxEntry> rx_pending_;
   std::unordered_map<atm::Vci, sim::Log2Histogram> vci_e2e_;
+  static constexpr std::size_t kRingCap = 4096;  // completed-span ring
   std::vector<Span> ring_;
-  std::size_t ring_cap_ = 4096;
   std::uint64_t spans_seen_ = 0;
 };
 

@@ -8,7 +8,7 @@
 namespace osiris::sim {
 
 Engine::Engine()
-    : wheel_(kBuckets),
+    : wheel_(std::make_unique_for_overwrite<Bucket[]>(kBuckets)),
       boxed_at_ctor_(Event::boxed_allocations()),
       created_(std::chrono::steady_clock::now()) {}
 
@@ -38,9 +38,12 @@ void Engine::recycle(Node* n) {
 
 void Engine::bucket_append(std::size_t idx, Node* n) {
   Bucket& b = wheel_[idx];
-  if (b.head == nullptr) {
+  std::uint64_t& word = occupied_[idx >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+  if ((word & bit) == 0) {
     b.head = b.tail = n;
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    word |= bit;
+    occupied_words_ |= std::uint64_t{1} << (idx >> 6);
   } else {
     b.tail->next = n;
     b.tail = n;
@@ -83,14 +86,17 @@ Engine::Node* Engine::insert_node(Tick t, Event fn) {
 std::size_t Engine::next_occupied(std::size_t from) const {
   if (from >= kBuckets) return kNoBucket;
   std::size_t word = from >> 6;
-  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
-  while (true) {
-    if (bits != 0) {
-      return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-    }
-    if (++word >= occupied_.size()) return kNoBucket;
-    bits = occupied_[word];
+  const std::uint64_t bits =
+      occupied_[word] & (~std::uint64_t{0} << (from & 63));
+  if (bits != 0) {
+    return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
   }
+  // Later words: the summary names the first nonempty one directly.
+  if (word + 1 >= occupied_.size()) return kNoBucket;
+  const std::uint64_t later = occupied_words_ & (~std::uint64_t{0} << (word + 1));
+  if (later == 0) return kNoBucket;
+  word = static_cast<std::size_t>(std::countr_zero(later));
+  return (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[word]));
 }
 
 void Engine::rewindow() {
@@ -123,8 +129,10 @@ bool Engine::ensure_run() {
         run_.push_back(n);
         n = next;
       }
-      b.head = b.tail = nullptr;
       occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+      if (occupied_[idx >> 6] == 0) {
+        occupied_words_ &= ~(std::uint64_t{1} << (idx >> 6));
+      }
       // A bucket mixes direct appends with far-heap spills, so the chain
       // is not globally ordered; one sort per bucket restores (at, seq).
       std::sort(run_.begin(), run_.end(), node_less);

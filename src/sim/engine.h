@@ -300,6 +300,15 @@ class Engine {
   void set_step_probe(Log2Histogram* h) { step_probe_ = h; }
 
  private:
+  friend class EngineGroup;
+
+  /// Changes with every insert, dispatch and cancel — the only operations
+  /// that can move the earliest live event — so the group can cache each
+  /// partition's next tick and re-read it only when this count moves.
+  [[nodiscard]] std::uint64_t mutations() const {
+    return next_seq_ + dispatched_ + cancelled_;
+  }
+
   // Calendar geometry: 4096 buckets of 2^16 ticks (65.536 ns) cover a
   // ~268 µs sliding window — wide enough that cell times (~682 ns),
   // firmware costs (tens of ns) and DMA/bus bookings land in the wheel;
@@ -311,12 +320,14 @@ class Engine {
   static constexpr Tick kSpan = Tick{kBuckets} << kWidthLog2;
   static constexpr std::size_t kChunkNodes = 256;
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
+  static_assert(kBuckets == 64 * 64,
+                "one summary word covers the occupancy words");
 
   using Node = detail::EventNode;
 
-  struct Bucket {
-    Node* head = nullptr;
-    Node* tail = nullptr;
+  struct Bucket {  // valid only while its occupancy bit is set
+    Node* head;
+    Node* tail;
   };
 
   static bool node_less(const Node* a, const Node* b) {
@@ -351,8 +362,12 @@ class Engine {
   Tick base_ = 0;               // window start, multiple of bucket width
   std::size_t cur_bucket_ = 0;  // bucket whose content lives in run_
   std::size_t scan_from_ = 1;   // first bucket the drain scan considers
-  std::vector<Bucket> wheel_;
-  std::array<std::uint64_t, kBuckets / 64> occupied_{};
+  // Left uninitialised: a bucket is read only while occupied, so the
+  // wheel's pages are touched as buckets are used, not when an engine is
+  // built.
+  std::unique_ptr<Bucket[]> wheel_;
+  std::array<std::uint64_t, kBuckets / 64> occupied_{};  // bit per bucket
+  std::uint64_t occupied_words_ = 0;  // bit w set iff occupied_[w] != 0
 
   std::vector<Node*> far_;  // heap, FarLater
 

@@ -73,9 +73,14 @@ void EngineGroup::schedule_remote(std::size_t src, std::size_t dst, Tick at,
 }
 
 Tick EngineGroup::next_tick(std::size_t p) {
-  Tick t = parts_[p].stage.empty() ? kNever : parts_[p].stage.front().at;
-  if (const auto local = engines_[p]->next_event_time()) t = std::min(t, *local);
-  return t;
+  Part& pt = parts_[p];
+  Engine& eng = *engines_[p];
+  if (eng.mutations() != pt.seen) {
+    pt.local_next = eng.next_event_time().value_or(kNever);
+    pt.seen = eng.mutations();
+  }
+  return pt.stage.empty() ? pt.local_next
+                          : std::min(pt.local_next, pt.stage.front().at);
 }
 
 void EngineGroup::inject(std::size_t p, const Staged& s) {

@@ -88,6 +88,8 @@ class EngineGroup {
   [[nodiscard]] const PhaseProfile& profile() const { return profile_; }
 
  private:
+  static constexpr Tick kNever = ~Tick{0};
+
   /// An import waiting for its tick. The RemoteEvent is too large for a
   /// calendar node, so it parks in the destination's slot pool and the
   /// injected event captures {inbox, slot}.
@@ -104,18 +106,19 @@ class EngineGroup {
   struct Part {
     std::vector<Staged> stage;  // min-heap on (at, ch, seq)
     Inbox inbox;
+    Tick local_next = kNever;  // cached engine next_event_time(), or kNever
+    std::uint64_t seen = 0;    // engine mutations() when local_next was read
   };
   struct Channel {
     std::uint32_t idx = 0;
     Duration lookahead = 0;
   };
 
-  static constexpr Tick kNever = ~Tick{0};
-
   /// Heap order: std::*_heap keep the largest on top, so "after" on
   /// (at, ch, seq) makes the stage a min-heap.
   static bool staged_after(const Staged& a, const Staged& b);
-  /// Earliest tick partition p can dispatch next, or kNever.
+  /// Earliest tick partition p can dispatch next, or kNever. Uses the
+  /// cached local tick unless p's engine changed since it was read.
   Tick next_tick(std::size_t p);
   void inject(std::size_t p, const Staged& s);
 

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "atm/cell.h"
 #include "atm/checksum.h"
@@ -41,6 +43,44 @@ TEST(Crc32, DetectsSingleBitError) {
   EXPECT_NE(Crc32::of(data), good);
 }
 
+// Bit-at-a-time reflected CRC-32: the definition the table-driven
+// Crc32::update must reproduce for every length and chunking.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndSplit) {
+  sim::Rng rng(0xC4C32);
+  std::vector<std::uint8_t> data(200);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32_bitwise({reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size()}),
+            0xCBF43926u);
+
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const std::uint8_t> whole(data.data(), len);
+    const std::uint32_t want = crc32_bitwise(whole);
+    ASSERT_EQ(Crc32::of(whole), want) << "len " << len;
+    // Chunked feeds: the first split point takes every residue mod 8, so
+    // the sliced loop restarts at every alignment of its 8-byte steps.
+    for (std::size_t r = 0; r < 8 && r <= len; ++r) {
+      const std::size_t a = r + 8 * rng.below((len - r) / 8 + 1);
+      const std::size_t b = a + rng.below(len - a + 1);
+      Crc32 inc;
+      inc.update(whole.subspan(0, a));
+      inc.update(whole.subspan(a, b - a));
+      inc.update(whole.subspan(b));
+      ASSERT_EQ(inc.value(), want) << "len " << len << " split " << a << "," << b;
+    }
+  }
+}
+
 TEST(InternetChecksum, MatchesManualComputation) {
   // Two words: 0x0102, 0x0304 -> sum 0x0406 -> ~ = 0xFBF9.
   const std::vector<std::uint8_t> d{0x01, 0x02, 0x03, 0x04};
@@ -73,6 +113,38 @@ TEST(Cell, SealAndVerify) {
   EXPECT_TRUE(header_ok(c));
   c.vci ^= 0x100;
   EXPECT_FALSE(header_ok(c));
+}
+
+// The header checksum as first specified: a nine-step serial xor-rotate
+// over the big-endian header bytes. header_check computes it term by term.
+std::uint8_t header_check_serial(const Cell& c) {
+  const std::uint8_t bytes[9] = {
+      static_cast<std::uint8_t>(c.vci >> 16), static_cast<std::uint8_t>(c.vci >> 8),
+      static_cast<std::uint8_t>(c.vci),       static_cast<std::uint8_t>(c.pdu_id >> 8),
+      static_cast<std::uint8_t>(c.pdu_id),    static_cast<std::uint8_t>(c.seq >> 8),
+      static_cast<std::uint8_t>(c.seq),       c.flags,
+      c.len};
+  std::uint8_t h = 0x5A;
+  for (const std::uint8_t b : bytes) {
+    h = static_cast<std::uint8_t>(((h << 1) | (h >> 7)) ^ b);
+  }
+  return h;
+}
+
+TEST(Cell, HeaderCheckMatchesSerialXorRotate) {
+  sim::Rng rng(0x4EC);
+  Cell c;
+  EXPECT_EQ(header_check(c), header_check_serial(c));
+  for (int i = 0; i < 20000; ++i) {
+    c.vci = static_cast<Vci>(rng.below(kMaxVci + 1));
+    c.pdu_id = static_cast<std::uint16_t>(rng.below(1u << 16));
+    c.seq = static_cast<std::uint16_t>(rng.below(1u << 16));
+    c.flags = static_cast<std::uint8_t>(rng.below(256));
+    c.len = static_cast<std::uint8_t>(rng.below(256));
+    ASSERT_EQ(header_check(c), header_check_serial(c))
+        << "vci " << c.vci << " pdu " << c.pdu_id << " seq " << c.seq
+        << " flags " << int{c.flags} << " len " << int{c.len};
+  }
 }
 
 TEST(Trailer, EncodeDecodeRoundTrip) {

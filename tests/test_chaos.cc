@@ -98,10 +98,9 @@ TEST(ChaosRunner, EmptyScheduleRunsClean) {
   EXPECT_EQ(r.faults_fired, 0u);
 }
 
-TEST(ChaosRunner, SeedSweepCleanAndFingerprintsMatchAcrossThreads) {
+TEST(ChaosRunner, SeedSweepCleanAndFingerprintsRepeat) {
   // Every seed runs clean, and running its schedule a second time on a
-  // fresh testbed reproduces the fingerprint exactly. (The name dates from
-  // the threaded engine, when the second run used two worker threads.)
+  // fresh testbed reproduces the fingerprint exactly.
   GenOptions gopt;
   gopt.horizon = sim::ms(12);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {

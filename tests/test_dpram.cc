@@ -1,6 +1,8 @@
 // Unit tests for the dual-port RAM and both queue disciplines.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dpram/dpram.h"
 #include "dpram/lockq.h"
 #include "dpram/queue.h"
@@ -16,6 +18,23 @@ TEST(DualPortRam, ReadWriteAndAccessCounting) {
   EXPECT_EQ(ram.host_accesses(), 1u);
   EXPECT_EQ(ram.board_accesses(), 1u);
   EXPECT_THROW(ram.read(Side::kHost, kDpramWords), std::out_of_range);
+}
+
+TEST(DualPortRam, FreshRamReadsZeroEvenOnRecycledHeap) {
+  // The word arrays come from calloc: fresh pages stay untouched, and
+  // recycled heap memory must still be cleared. Dirty a block of the same
+  // size first so a RAM built on it would show leftovers.
+  for (int round = 0; round < 2; ++round) {
+    {
+      std::vector<std::uint32_t> junk(kDpramWords, 0xDEADBEEFu);
+      ASSERT_EQ(junk[kDpramWords - 1], 0xDEADBEEFu);
+    }
+    DualPortRam ram;
+    for (std::uint32_t w = 0; w < kDpramWords; ++w) {
+      ASSERT_EQ(ram.read(Side::kHost, w), 0u) << "word " << w;
+    }
+    ram.write(Side::kBoard, kDpramWords - 1, 7);
+  }
 }
 
 TEST(ChannelLayout, SixteenPairsFitTheDualPortRam) {

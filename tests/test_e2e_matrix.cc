@@ -4,6 +4,8 @@
 // driver, IP-like reassembly and UDP-like verification.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "osiris/node.h"
@@ -13,16 +15,19 @@ namespace osiris {
 namespace {
 
 // gtest appends the raw bytes of each case, padding included, to its name,
-// so the padding is spelled out and zeroed to keep the names the same from
-// build to build.
+// so the padding is spelled out and zeroed, and the strategy name is held
+// inline rather than as a pointer, to keep the names the same from build
+// to build.
 struct MatrixCase {
-  MatrixCase(bool a, bool b, const char* s, std::uint32_t n, std::uint32_t off,
-             bool cs)
-      : alpha_a(a), alpha_b(b), strategy(s), bytes(n), offset(off), checksum(cs) {}
+  MatrixCase(bool a, bool b, std::string_view s, std::uint32_t n,
+             std::uint32_t off, bool cs)
+      : alpha_a(a), alpha_b(b), bytes(n), offset(off), checksum(cs) {
+    s.copy(strategy, sizeof(strategy) - 1);
+  }
   bool alpha_a;
   bool alpha_b;
   std::uint8_t pad0[6] = {};
-  const char* strategy;
+  char strategy[8] = {};  // "quad" or "seq", zero-filled
   std::uint32_t bytes;
   std::uint32_t offset;
   bool checksum;

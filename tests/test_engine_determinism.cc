@@ -149,6 +149,55 @@ TEST(EngineCalendar, CancelFarFutureTimer) {
   EXPECT_EQ(eng.now(), sim::us(1));  // drained without waiting 50 ms
 }
 
+TEST(EngineCalendar, SparseWheelFindsBucketsWordsAhead) {
+  // The wheel is 4096 buckets of 2^16 ticks; occupancy is one bit per
+  // bucket in 64 words plus a summary bit per word. Each event below sits
+  // several empty words past the last one: a word that only cancelled
+  // timers occupied (emptied when the drain takes their bucket), word 5,
+  // the very last bucket 4095, and, after the window re-bases onto the
+  // far heap, word 5 of the new window with that tombstone word long gone.
+  constexpr sim::Tick kW = sim::Tick{1} << 16;  // bucket width
+  constexpr sim::Tick kSpan = 4096 * kW;        // wheel window
+  sim::Engine eng;
+  std::vector<std::pair<sim::Tick, int>> fired;  // (tick, test-side seq)
+  int next = 0;
+  auto at = [&](sim::Tick t) {
+    const int id = next++;
+    eng.schedule_at(t, [&fired, &eng, id] { fired.emplace_back(eng.now(), id); });
+    return id;
+  };
+  const sim::Tick t_last = 4095 * kW + 100;
+  at(1 * kW + 5);
+  sim::TimerHandle ta = eng.schedule_timer_at(130 * kW, [&] { ADD_FAILURE(); });
+  sim::TimerHandle tb = eng.schedule_timer_at(140 * kW + 9, [&] { ADD_FAILURE(); });
+  const int mid = next++;
+  eng.schedule_at((5 * 64 + 3) * kW + 7, [&, mid] {
+    fired.emplace_back(eng.now(), mid);
+    at(t_last - 50);  // reaches bucket 4095 straight from word 5
+  });
+  at(t_last);
+  at(t_last);  // same tick: FIFO after its twin
+  const sim::Tick base2 = kSpan + 7 * 64 * kW;
+  at(base2 + 11);                        // bucket 0 after the re-base
+  at(base2 + (5 * 64 + 9) * kW + 3);     // word 5 of the new window
+  EXPECT_TRUE(eng.cancel(ta));
+  EXPECT_TRUE(eng.cancel(tb));
+  eng.run();
+
+  // (tick, seq) contract: ids 0, 1 (mid), then the one mid scheduled
+  // (id 6, earlier in bucket 4095 than the twins), the twins 2 and 3, and
+  // the two events of the second window.
+  const std::vector<std::pair<sim::Tick, int>> want = {
+      {1 * kW + 5, 0},         {(5 * 64 + 3) * kW + 7, 1},
+      {t_last - 50, 6},        {t_last, 2},
+      {t_last, 3},             {base2 + 11, 4},
+      {base2 + (5 * 64 + 9) * kW + 3, 5}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(eng.stats().rewindows, 1u);
+  EXPECT_EQ(eng.stats().cancelled, 2u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
 // A randomized workload that re-derives the dispatch contract from the
 // outside: every schedule call gets a test-side sequence number (mirroring
 // the engine's internal one), and at the end the observed firing order

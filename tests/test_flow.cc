@@ -214,12 +214,10 @@ TEST(FlowBoard, UnmapDuringReassemblyDropsCleanlyAndReleasesState) {
   EXPECT_EQ(n.rxp.vci_buffers_held(vci), 0u);
 }
 
-TEST(FlowBoard, FingerprintStableAcrossThreadsWithHundredThousandVcis) {
+TEST(FlowBoard, FingerprintRepeatsWithHundredThousandVcis) {
   // The chaos runner's end-to-end fingerprint, with the flow tables grown
   // to 10^5 mapped VCIs, must be bit-identical between two runs: growth,
   // incremental migration and iteration order are all deterministic.
-  // (The name dates from the threaded engine, when the second run used
-  // two worker threads.)
   chaos::Schedule s;  // no faults; the population is the stressor
   s.seed = 12;
   chaos::RunnerConfig cfg;

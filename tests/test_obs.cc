@@ -160,11 +160,10 @@ TEST(Registry, AggregateSumsCountersAndMergesHistograms) {
   EXPECT_EQ(s.hists[0].max, 1024u);
 }
 
-TEST(Registry, ShardedRecordingUnderTwoThreadsAggregatesCleanly) {
+TEST(Registry, PerNodeShardsAggregateByName) {
   // The sharding contract: one registry per node, each recorded into only
   // by its owner, aggregated by name on read. (test_sim covers the same
-  // shape with real engine partitions.) The name dates from the threaded
-  // engine, when each shard had its own recording thread.
+  // shape with real engine partitions.)
   obs::Registry shards[2];
   std::uint64_t counts[2] = {0, 0};
   shards[0].counter("n", &counts[0]);

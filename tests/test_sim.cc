@@ -472,13 +472,43 @@ TEST(EngineGroup, FreeRunningPartitionHasNoInbound) {
   EXPECT_EQ(got, 64);
 }
 
+TEST(EngineGroup, DirectCrossPartitionScheduleAndCancelKeepMergeOrder) {
+  // The merge caches each partition's next tick. An event on partition 0
+  // that schedules straight onto partition 1's engine (not through a
+  // channel), or cancels one of its timers, changes partition 1's next
+  // tick from outside partition 1's own dispatch; the merge must see both.
+  EngineGroup g(2);
+  g.connect(0, 1, 10);
+  Engine& a = g.partition(0);
+  Engine& b = g.partition(1);
+  std::vector<std::pair<int, Tick>> order;  // (partition, tick)
+  auto log = [&order](int p, Engine& e) {
+    return [&order, p, &e] { order.emplace_back(p, e.now()); };
+  };
+  TimerHandle timer = b.schedule_timer_at(500, log(1, b));
+  b.schedule_at(1000, log(1, b));
+  a.schedule_at(100, [&] {
+    order.emplace_back(0, a.now());
+    b.schedule_at(200, log(1, b));  // ahead of partition 1's next (500)
+  });
+  a.schedule_at(300, [&] {
+    order.emplace_back(0, a.now());
+    EXPECT_TRUE(b.cancel(timer));  // partition 1's next moves to 1000
+  });
+  for (const Tick t : {400, 600, 1100}) a.schedule_at(t, log(0, a));
+  g.run();
+  // The order a merge that re-reads every partition at every step gives.
+  const std::vector<std::pair<int, Tick>> want = {
+      {0, 100}, {1, 200}, {0, 300}, {0, 400}, {0, 600}, {1, 1000}, {0, 1100}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(g.now(), 1100u);
+}
+
 // ------------------------------------- dispatch order pinned to constants
 //
 // The constants below were recorded from the threaded asynchronous-EOT
 // engine this serial merge replaced, so they prove the merge keeps every
-// partition's dispatch order: per-node traces, stats and RTTs. The
-// ParallelEquivalence names date from that engine, whose thread counts
-// these tests used to compare.
+// partition's dispatch order: per-node traces, stats and RTTs.
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -577,7 +607,7 @@ WorkloadOut run_testbed_workload(std::uint32_t msg_bytes, std::uint64_t n_msgs,
   return out;
 }
 
-TEST(ParallelEquivalence, Fig2Fig3WorkloadBitIdenticalAcrossThreadCounts) {
+TEST(MergeOrder, Fig2Fig3WorkloadMatchesPinnedHashes) {
   const WorkloadOut out = run_testbed_workload(8 * 1024, 12, 8);
   EXPECT_EQ(out.stats_hash, 0x94acabd2a3ab5f57ull);
   EXPECT_EQ(out.trace_hash_a, 0xf5d0697baf910b5full);
@@ -586,7 +616,7 @@ TEST(ParallelEquivalence, Fig2Fig3WorkloadBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(out.rtt_us, 481.33142399999997);
 }
 
-TEST(ParallelEquivalence, RunIsDeterministicPerThreadCount) {
+TEST(MergeOrder, RepeatedRunsMatchPinnedHashes) {
   // A smaller run, twice: each must match the pinned values.
   for (int run = 0; run < 2; ++run) {
     const WorkloadOut out = run_testbed_workload(4 * 1024, 6, 4);
@@ -653,11 +683,11 @@ std::uint64_t four_partition_fingerprint() {
   return fnv(h, total);
 }
 
-TEST(ParallelEquivalence, FourPartitionsBitIdenticalUpToFourThreads) {
+TEST(MergeOrder, FourPartitionRingMatchesPinnedFingerprint) {
   EXPECT_EQ(four_partition_fingerprint(), 0xdd86d1e18262018eull);
 }
 
-TEST(ParallelEquivalence, ShardedSpansAndMetricsUnderTwoThreads) {
+TEST(MergeOrder, PerNodeSpansAggregateAndRepeat) {
   // Each node records spans into its own PduSpans; after run() drains,
   // aggregating the two shards by name gives the union, and a second run
   // reproduces it exactly.
